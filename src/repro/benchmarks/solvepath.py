@@ -183,12 +183,9 @@ PR6_BASELINE_SECONDS = {
 # kernel-backend dispatch — PR 7 never refreshed the committed baseline, so
 # its anchor and PR 8's are one snapshot) at the default sizes (same
 # machine): the values of PR 8's committed BENCH_solvepath.json.  They
-# anchor the ``speedup_vs_pr8`` column — what the process execution engine
-# and the cross-lambda stacked eig-solve bought.  On a single-core container
-# the multi-core win cannot show here; the stacked mixed-lambda solve shows
-# up in ``service_throughput`` (mixed-lambda micro-batches collapse to one
-# LAPACK call), and the core-scaling curve lives in the report's
-# ``service_scaling`` section, which PR 8 had no counterpart for.
+# anchor the ``speedup_vs_pr8`` column — what the cross-lambda stacked
+# eig-solve bought; it shows up in ``service_throughput`` (mixed-lambda
+# micro-batches collapse to one LAPACK call).
 PR8_BASELINE_SECONDS = {
     "qp_solve": 5.321e-5,
     "qp_solve_warm": 4.239e-5,
@@ -335,13 +332,6 @@ def run_solvepath_benchmark(
       carries the shed rate, deadline-miss rate, p95 latency and the SLO
       verdict — the cost and behaviour of the admission-control machinery
       under skewed traffic.
-    * ``service_scaling`` -- the throughput workload through the *process*
-      runner (``MicroBatchScheduler(runner="process")``) at increasing
-      worker counts; the stage value is the highest-count point and the
-      report's ``service_scaling`` section carries the whole curve (rps,
-      p95 and verified gap per point) plus the host core count.  The curve
-      is informational on purpose: a single-core container cannot show the
-      multi-core win, only its overhead.
     """
     from repro import backends as kernel_backends
     from repro.cellcycle.kernel import KernelBuilder
@@ -648,68 +638,6 @@ def run_solvepath_benchmark(
         "slo_passed": bool(slo_verdict["passed"]),
     }
 
-    # Service core-scaling: the same workload through the process runner at
-    # increasing worker counts.  Each point gets a fresh scheduler whose
-    # spawned workers hold their own warm session replicas, so a hot shard
-    # fans out across real cores instead of serializing under the GIL.  The
-    # curve is *reported*, never asserted — on a single-core container every
-    # point necessarily lands near the 1-worker rps, and the spawn/IPC
-    # overhead is exactly what the report should show there.
-    import os as _os
-
-    from repro.service import SessionFactory
-
-    scaling_factory = SessionFactory(
-        parameters=parameters, num_basis=int(num_basis), kernels=session_kernels
-    )
-    scaling_counts = (1, 2, 4) if int(num_service) >= 64 else (1, 2)
-    scaling_points: list[dict] = []
-    for count in scaling_counts:
-        scaling_scheduler = MicroBatchScheduler(
-            SessionPool(scaling_factory),
-            max_batch=64,
-            max_wait_ms=0.2,
-            runner="process",
-            workers=count,
-        )
-        scaling_scheduler.map(workload)  # spawn + warm the worker replicas
-
-        def run_scaling() -> None:
-            scaling_scheduler.cache.clear()
-            scaling_scheduler.map(workload)
-
-        point_seconds = _time(run_scaling, repeats)
-        scaling_scheduler.cache.clear()
-        scaling_scheduler.telemetry.reset()
-        scaling_results = scaling_scheduler.map(workload)
-        scaling_snapshot = scaling_scheduler.telemetry.snapshot()
-        scaling_scheduler.shutdown()
-        scaling_points.append(
-            {
-                "workers": count,
-                "seconds": point_seconds,
-                "rps": round(len(workload) / point_seconds, 1),
-                "p95_latency_ms": round(
-                    scaling_snapshot["histograms"]["latency_seconds"]["p95"] * 1e3, 3
-                ),
-                "speedup_vs_one_worker": round(
-                    scaling_points[0]["seconds"] / point_seconds, 2
-                )
-                if scaling_points
-                else 1.0,
-                "max_coefficient_gap": max_coefficient_gap(
-                    scaling_results, serial_results
-                ),
-            }
-        )
-    stages["service_scaling"] = scaling_points[-1]["seconds"]
-    scaling_report = {
-        "requests": len(workload),
-        "cpu_count": _os.cpu_count(),
-        "thread_runner_seconds": stages["service_throughput"],
-        "points": scaling_points,
-    }
-
     config = {
         "num_cells": int(num_cells),
         "phase_bins": int(phase_bins),
@@ -749,7 +677,6 @@ def run_solvepath_benchmark(
         "stages_seconds": stages,
         "service": service_report,
         "service_slo": slo_report,
-        "service_scaling": scaling_report,
         "seed_baseline_seconds": SEED_BASELINE_SECONDS if is_default else None,
         "speedup_vs_seed": baseline_speedups(SEED_BASELINE_SECONDS),
         "pr1_baseline_seconds": PR1_BASELINE_SECONDS if is_default else None,
@@ -840,17 +767,6 @@ def format_report(report: dict) -> str:
             "SLO {verdict}".format(
                 verdict="pass" if slo["slo_passed"] else "FAIL", **slo
             )
-        )
-    scaling = report.get("service_scaling")
-    if scaling:
-        curve = ", ".join(
-            "{workers}w {rps:.0f} rps ({speedup_vs_one_worker:.2f}x, "
-            "p95 {p95_latency_ms:.1f} ms)".format(**point)
-            for point in scaling["points"]
-        )
-        lines.append(
-            f"  service_scaling ({scaling['cpu_count']} cores, "
-            f"{scaling['requests']} requests, process runner): {curve}"
         )
     return "\n".join(lines)
 

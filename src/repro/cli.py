@@ -9,7 +9,6 @@ Usage::
     python -m repro.cli sensitivity
     python -m repro.cli ablations [--study volume|constraints|lambda|all]
     python -m repro.cli serve-bench [--requests 96] [--grids 2] [--verbose]
-    python -m repro.cli serve-bench --runner process --workers 4 --scaling 1,2,4
     python -m repro.cli serve-bench --http [--http-clients 4]
     python -m repro.cli serve [--host 127.0.0.1] [--port 8732]
     python -m repro.cli backends
@@ -36,7 +35,6 @@ availability and the active selection.
 from __future__ import annotations
 
 import argparse
-import os
 from typing import Sequence
 
 import numpy as np
@@ -127,23 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fraction of fresh requests using automatic lambda selection")
     serve.add_argument("--max-batch", type=int, default=64, help="scheduler batch size bound")
     serve.add_argument("--max-wait-ms", type=float, default=0.2, help="scheduler batching window")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="scheduler workers (threads, or processes with --runner process)")
-    serve.add_argument(
-        "--runner",
-        choices=["thread", "process"],
-        default=None,
-        help="batch runner: in-process threads (default) or the multi-core "
-             f"process engine; unset consults ${config.RUNNER_ENV_VAR}",
-    )
-    serve.add_argument(
-        "--scaling",
-        type=str,
-        default=None,
-        metavar="N1,N2,...",
-        help="core-scaling sweep: rerun the timed workload at each worker "
-             "count (e.g. 1,2,4) and report rps/p95/speedup per point",
-    )
+    serve.add_argument("--workers", type=int, default=2, help="scheduler worker threads")
     serve.add_argument(
         "--scenario",
         choices=["all", "steady", "bursty", "heavy_tail", "hotkey",
@@ -178,15 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="distinct measurement time grids to register")
     server.add_argument("--max-batch", type=int, default=64, help="scheduler batch size bound")
     server.add_argument("--max-wait-ms", type=float, default=0.2, help="scheduler batching window")
-    server.add_argument("--workers", type=int, default=2,
-                        help="scheduler workers (threads, or processes with --runner process)")
-    server.add_argument(
-        "--runner",
-        choices=["thread", "process"],
-        default=None,
-        help="batch runner: in-process threads (default) or the multi-core "
-             f"process engine; unset consults ${config.RUNNER_ENV_VAR}",
-    )
+    server.add_argument("--workers", type=int, default=2, help="scheduler worker threads")
     server.add_argument("--max-inflight", type=int, default=config.DEFAULT_STREAM_WINDOW,
                         help="per-connection in-flight window of the streaming route")
 
@@ -303,9 +277,7 @@ def _build_service_stack(cells: int, grids: int):
     Distinct measurement schedules are generated for however many grids were
     asked for (shrinking span and density so every grid is unique); the
     returned :class:`~repro.service.pool.SessionFactory` creates one
-    deconvolver per pool shard with every kernel pre-registered.  It is
-    picklable on purpose: the same factory serves the thread runner's pool
-    and ships to the process runner's spawned workers.
+    deconvolver per pool shard with every kernel pre-registered.
     """
     from repro.cellcycle.kernel import KernelBuilder
     from repro.cellcycle.parameters import CellCycleParameters
@@ -359,9 +331,7 @@ def _run_serve_bench(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms,
         workers=args.workers,
-        runner=args.runner,
     ) as scheduler:
-        print(f"runner: {scheduler.runner} ({scheduler.workers} worker(s))")
         # Warm both paths so the timed passes measure the steady-state
         # service, not first-request kernel/assembly setup.
         scheduler.map(workload)
@@ -406,10 +376,6 @@ def _run_serve_bench(args: argparse.Namespace) -> int:
                 print(f"  session {key}: {session_stats}")
             print(f"  telemetry counters: {counters}")
             print(f"  batch size: {snapshot['histograms'].get('batch_size')}")
-            if scheduler.runner == "process":
-                print(f"  worker pool: {scheduler.stats()['worker_pool']}")
-    if args.scaling:
-        _run_serve_bench_scaling(args, workload, pool)
     if not lambdas_equal:
         print("FAILED: scheduler lambdas deviate from the one-shot fits")
         return 1
@@ -419,54 +385,6 @@ def _run_serve_bench(args: argparse.Namespace) -> int:
     print("ok: every scheduler response matches its one-shot fit to 1e-10 "
           "(exact lambda agreement)")
     return 0
-
-
-def _run_serve_bench_scaling(args: argparse.Namespace, workload, pool) -> None:
-    """Core-scaling sweep: rerun the timed workload at each worker count.
-
-    Each point gets a fresh scheduler (and, under the process runner, a
-    fresh worker pool) warmed before timing; the table reports throughput,
-    p95 latency and speedup versus the first (smallest) point.  On a
-    single-core container the curve is flat — the numbers are reported, not
-    gated, so the sweep stays meaningful everywhere.
-    """
-    import time
-
-    from repro.service import MicroBatchScheduler
-
-    counts = [int(part) for part in args.scaling.split(",") if part.strip()]
-    print(f"core-scaling sweep ({args.runner or 'default'} runner, "
-          f"{len(workload)} requests, {os.cpu_count()} cpu(s)):")
-    rows = []
-    base_rps = None
-    for count in counts:
-        with MicroBatchScheduler(
-            pool,
-            max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
-            workers=count,
-            runner=args.runner,
-        ) as scheduler:
-            scheduler.map(workload)  # warm sessions (and worker replicas)
-            scheduler.cache.clear()
-            scheduler.telemetry.reset()
-            start = time.perf_counter()
-            scheduler.map(workload)
-            seconds = time.perf_counter() - start
-            snapshot = scheduler.telemetry.snapshot()
-        rps = len(workload) / seconds
-        if base_rps is None:
-            base_rps = rps
-        rows.append([
-            float(count),
-            seconds * 1e3,
-            rps,
-            snapshot["histograms"]["latency_seconds"]["p95"] * 1e3,
-            rps / base_rps,
-        ])
-    print(format_table(
-        ["workers", "wall ms", "rps", "p95 ms", "speedup"], rows
-    ))
 
 
 def _run_serve_bench_http(args: argparse.Namespace, workload, pool, reference) -> int:
@@ -490,7 +408,6 @@ def _run_serve_bench_http(args: argparse.Namespace, workload, pool, reference) -
         max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms,
         workers=args.workers,
-        runner=args.runner,
     ) as scheduler:
         with serve_in_thread(scheduler) as handle:
             print(f"Serving on {handle.host}:{handle.port} "
@@ -584,7 +501,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms,
         workers=args.workers,
-        runner=args.runner,
     ) as scheduler:
         try:
             asyncio.run(serve())
@@ -646,20 +562,12 @@ def _run_serve_scenarios(args: argparse.Namespace, kernels, factory) -> int:
         )
         offsets = arrival_offsets(scenario, len(workload), seed=args.seed)
         plan = FaultPlan(scenario.faults) if args.faults else None
-        pool_factory = factory
-        if plan is not None and args.runner != "process":
-            # The wrap is a closure, which cannot ship to spawned workers;
-            # under the process runner session builds happen worker-side
-            # anyway, so only the solve-boundary faults (armed via
-            # fault_plan below) are injected there.
-            pool_factory = plan.wrap_factory(factory)
-        pool = SessionPool(pool_factory)
+        pool = SessionPool(factory if plan is None else plan.wrap_factory(factory))
         with MicroBatchScheduler(
             pool,
             max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms,
             workers=args.workers,
-            runner=args.runner,
             fault_plan=plan,
         ) as scheduler:
             start = time.perf_counter()

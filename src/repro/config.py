@@ -56,18 +56,7 @@ DEFAULT_BACKEND: str = "numpy"
 #: numpy reference with a logged warning).
 BACKEND_ENV_VAR: str = "REPRO_BACKEND"
 
-#: Environment variable selecting the service scheduler's batch runner
-#: (``REPRO_RUNNER=process`` enables the multi-core process runner when the
-#: pool factory is picklable; the default is the in-process thread runner).
-#: Read per scheduler instance, not once at import, so tests and embedders
-#: can flip it between constructions.
-RUNNER_ENV_VAR: str = "REPRO_RUNNER"
-
-#: Default service scheduler runner when :data:`RUNNER_ENV_VAR` is unset.
-DEFAULT_RUNNER: str = "thread"
-
-#: Worker cap for thread pools (GIL-bound work: the `fit_many` thread engine,
-#: the service scheduler's batch workers).
+#: Worker cap for thread pools (the service scheduler's batch workers).
 DEFAULT_THREAD_POOL_CAP: int = 4
 
 #: Default bind host of the network front end (``repro serve``); loopback by
@@ -89,12 +78,8 @@ DEFAULT_SUBMIT_TIMEOUT_S: float = 30.0
 #: Largest HTTP request body / WebSocket message the network edge accepts.
 DEFAULT_MAX_MESSAGE_BYTES: int = 16 * 1024 * 1024
 
-#: Worker cap for process pools (the `fit_many` process escape hatch, which
-#: pays a full problem assembly per worker).
-DEFAULT_PROCESS_POOL_CAP: int = 8
 
-
-def default_pool_size(num_tasks: int | None, *, kind: str = "thread") -> int:
+def default_pool_size(num_tasks: int | None) -> int:
     """Shared worker-pool sizing rule used by every pooled execution path.
 
     Parameters
@@ -102,24 +87,17 @@ def default_pool_size(num_tasks: int | None, *, kind: str = "thread") -> int:
     num_tasks:
         Number of independent tasks the pool will run, or ``None`` when the
         task count is unbounded/unknown (a long-lived service): the pool then
-        gets the full cap for its ``kind``.
-    kind:
-        ``"thread"`` (cap :data:`DEFAULT_THREAD_POOL_CAP`) or ``"process"``
-        (cap :data:`DEFAULT_PROCESS_POOL_CAP`).
+        gets the full :data:`DEFAULT_THREAD_POOL_CAP`.
 
     Returns
     -------
     int
         ``min(cap, max(1, num_tasks))`` — at least one worker, never more
-        than the cap for the pool kind.
+        than the cap.
     """
-    caps = {"thread": DEFAULT_THREAD_POOL_CAP, "process": DEFAULT_PROCESS_POOL_CAP}
-    if kind not in caps:
-        raise ValueError(f"unknown pool kind {kind!r}")
-    cap = caps[kind]
     if num_tasks is None:
-        return cap
-    return min(cap, max(1, int(num_tasks)))
+        return DEFAULT_THREAD_POOL_CAP
+    return min(DEFAULT_THREAD_POOL_CAP, max(1, int(num_tasks)))
 
 
 @dataclass(frozen=True)

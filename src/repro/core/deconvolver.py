@@ -247,7 +247,6 @@ class Deconvolver:
         lambda_grid: np.ndarray | None = None,
         rng: SeedLike = 0,
         engine: str = "auto",
-        workers: int | None = None,
         warm_start_chain: bool = True,
         cross_lambda: bool | None = None,
     ) -> list[DeconvolutionResult]:
@@ -284,23 +283,9 @@ class Deconvolver:
               loop only runs for species where positivity binds
               differently).
             * ``"serial"`` — one :meth:`fit` per species, chained through
-              ``warm_start_chain``.
-            * ``"thread"`` — the final solves fan out over a thread pool of
-              ``workers`` (bit-for-bit identical to ``serial`` with
-              ``warm_start_chain=False``); GIL-bound in the pure-Python
-              active-set loop, kept for reference.
-            * ``"process"`` — escape hatch for workloads that need real
-              CPU parallelism beyond the batched engine: each species is
-              fitted in a separate process (fresh problem assembly per
-              worker, so it only pays off for expensive per-species fits).
-              Requires picklable kernel/constraints and gives every worker
-              an identical copy of ``rng``.
+              ``warm_start_chain``; the reference the batch engine is
+              tested against.
             * ``"auto"`` (default) — ``"batch"``.
-        workers:
-            Pool size for the ``thread`` / ``process`` engines; defaults to
-            :func:`repro.config.default_pool_size` (species count capped at
-            the per-kind limit).  Ignored by the ``batch`` and ``serial``
-            engines.
         warm_start_chain:
             Serial engine only: when true (default) each species' final
             solve is warm-started from the previous species' solution and
@@ -326,7 +311,7 @@ class Deconvolver:
         num_species = matrix.shape[1]
         if engine == "auto":
             engine = "batch"
-        if engine not in ("batch", "serial", "thread", "process"):
+        if engine not in ("batch", "serial"):
             raise ValueError(f"unknown fit_many engine {engine!r}")
 
         if lam is None or np.ndim(lam) == 0:
@@ -354,11 +339,6 @@ class Deconvolver:
                 )
                 results.append(previous)
             return results
-
-        if engine == "process":
-            return self._fit_many_process(
-                times, matrix, sigma, requested, lambda_method, lambda_grid, rng, workers
-            )
 
         workspace = self.fit_workspace(times, sigma=sigma, rng=rng)
         problems = [workspace.problem_for(matrix[:, column]) for column in range(num_species)]
@@ -463,131 +443,14 @@ class Deconvolver:
                 shared = batch.active_sets[-1] or shared
             return results
 
-        if engine == "serial":
-            return [
-                self._result_from_solve(
-                    problem,
-                    chosen,
-                    problem.solve(chosen, backend=self.solver_backend),
-                    times,
-                    path,
-                )
-                for problem, chosen, path in zip(problems, lams, paths)
-            ]
-
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.numerics.qp import QPWorkspace, solve_qp
-
-        # Pre-assemble the shared per-lambda Hessians serially; afterwards
-        # the worker threads only read the shared caches.
-        for chosen in sorted(set(lams)):
-            workspace.template.quadratic_program(chosen)
-
-        def solve_one(index: int) -> DeconvolutionResult:
-            problem = problems[index]
-            program = problem.quadratic_program(lams[index])
-            try:
-                private = QPWorkspace(program)
-            except np.linalg.LinAlgError:
-                private = None
-            qp_result = solve_qp(
-                program, backend=self.solver_backend, workspace=private
+        # Serial engine without the warm chain: independent per-species solves.
+        return [
+            self._result_from_solve(
+                problem,
+                chosen,
+                problem.solve(chosen, backend=self.solver_backend),
+                times,
+                path,
             )
-            return self._result_from_solve(
-                problem, lams[index], qp_result, times, paths[index]
-            )
-
-        pool_size = int(workers) if workers else config.default_pool_size(num_species)
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            return list(pool.map(solve_one, range(num_species)))
-
-    def _fit_many_process(
-        self,
-        times: np.ndarray,
-        matrix: np.ndarray,
-        sigma: np.ndarray | float | None,
-        requested: list,
-        lambda_method: str,
-        lambda_grid: np.ndarray | None,
-        rng: SeedLike,
-        workers: int | None,
-    ) -> list[DeconvolutionResult]:
-        """Process-pool escape hatch behind ``fit_many(engine="process")``.
-
-        Each species is shipped to a worker process together with the
-        (picklable) kernel and configuration; the worker rebuilds a fresh
-        deconvolver and runs a complete single-species :meth:`fit`.  Nothing
-        is shared across workers, so this only pays off when per-species
-        fits are expensive enough to amortize the per-process assembly.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Resolve the kernel through the session so registered/per-grid
-        # kernels are honoured and the multi-grid caches survive (the old
-        # ensure_kernel path pinned self.kernel, invalidating the session).
-        kernel = self.session().kernel_for(ensure_1d(times, "times"), rng)
-        num_species = matrix.shape[1]
-        payloads = [
-            (
-                kernel,
-                self.parameters,
-                self.basis.num_basis,
-                self.constraints,
-                self.solver_backend,
-                np.asarray(times, dtype=float),
-                matrix[:, column],
-                sigma,
-                requested[column],
-                lambda_method,
-                lambda_grid,
-                rng,
-            )
-            for column in range(num_species)
+            for problem, chosen, path in zip(problems, lams, paths)
         ]
-        pool_size = (
-            int(workers)
-            if workers
-            else config.default_pool_size(num_species, kind="process")
-        )
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            return list(pool.map(_fit_one_species_process, payloads))
-
-
-def _fit_one_species_process(payload: tuple) -> DeconvolutionResult:
-    """Worker entry point of ``fit_many(engine="process")``.
-
-    Rebuilds a deconvolver from the pickled configuration and fits one
-    species.  Module level so it is importable by worker processes under
-    every start method (fork and spawn).
-    """
-    (
-        kernel,
-        parameters,
-        num_basis,
-        constraints,
-        solver_backend,
-        times,
-        measurements,
-        sigma,
-        lam,
-        lambda_method,
-        lambda_grid,
-        rng,
-    ) = payload
-    deconvolver = Deconvolver(
-        kernel,
-        parameters=parameters,
-        num_basis=num_basis,
-        constraints=constraints,
-        solver_backend=solver_backend,
-    )
-    return deconvolver.fit(
-        times,
-        measurements,
-        sigma=sigma,
-        lam=lam,
-        lambda_method=lambda_method,
-        lambda_grid=lambda_grid,
-        rng=rng,
-    )

@@ -8,10 +8,6 @@ long-lived runtime for concurrent deconvolution traffic:
 * :class:`~repro.service.scheduler.MicroBatchScheduler` — bounded-queue
   intake from many producer threads, time/size-windowed coalescing into
   stacked multi-RHS solves, futures for responses, graceful drain/shutdown;
-* :class:`~repro.service.workers.ShardWorkerPool` +
-  :class:`~repro.service.shm.ShmRing` — the process execution engine behind
-  ``MicroBatchScheduler(runner="process")``: pinned spawn-safe worker
-  processes with shared-memory payload handoff for true multi-core solves;
 * :class:`~repro.service.cache.ResultCache` — content-addressed result
   cache answering bit-exact repeats in O(lookup);
 * :class:`~repro.service.telemetry.Telemetry` — counters plus latency and
@@ -41,7 +37,6 @@ from repro.service.errors import (
     RequestShed,
     SchedulerCrashed,
     ServiceError,
-    WorkerCrashed,
 )
 from repro.service.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.service.loadgen import (
@@ -56,9 +51,7 @@ from repro.service.loadgen import (
 from repro.service.pool import PoolEntry, SessionFactory, SessionPool
 from repro.service.robustness import AdaptiveWindow, CircuitBreaker, RetryPolicy
 from repro.service.scheduler import DEFAULT_CONFIG_KEY, FitRequest, MicroBatchScheduler
-from repro.service.shm import ShmRing
 from repro.service.telemetry import Histogram, Telemetry
-from repro.service.workers import ShardWorkerPool, ensure_picklable
 
 __all__ = [
     "DEFAULT_CONFIG_KEY",
@@ -82,13 +75,9 @@ __all__ = [
     "ServiceError",
     "SessionFactory",
     "SessionPool",
-    "ShardWorkerPool",
-    "ShmRing",
     "Telemetry",
-    "WorkerCrashed",
     "WorkloadSpec",
     "build_workload",
-    "ensure_picklable",
     "max_coefficient_gap",
     "request_fingerprint",
     "serial_reference",

@@ -21,7 +21,6 @@ __all__ = [
     "RequestShed",
     "SchedulerCrashed",
     "ServiceError",
-    "WorkerCrashed",
 ]
 
 
@@ -89,40 +88,13 @@ class DeadlineExceeded(ServiceError):
 
 
 class SchedulerCrashed(ServiceError):
-    """The batcher (or a runner) died; the service is permanently down.
+    """The batcher died; the service is permanently down.
 
     Every queued and pending future is failed with this error when the
     batcher thread crashes, and every later :meth:`submit` raises it
     immediately — nothing hangs waiting on a thread that no longer exists.
     The original exception rides along as ``__cause__``.
     """
-
-
-class WorkerCrashed(ServiceError):
-    """A shard worker process died (or stopped responding) mid-solve.
-
-    Raised by :class:`~repro.service.workers.ShardWorkerPool` when the
-    process assigned to a batch exits or times out before answering.
-    ``transient = True``: the pool respawns the worker, so the scheduler's
-    :class:`~repro.service.robustness.RetryPolicy` retries the batch, and
-    repeated crashes trip the shard's circuit breaker over to the bit-exact
-    in-process degraded path — a dead worker degrades throughput, never
-    answers.
-
-    Parameters
-    ----------
-    worker_index:
-        Index of the worker slot that failed.
-    reason:
-        Human-readable cause (``"exited"``, ``"timeout"``, ...).
-    """
-
-    transient = True
-
-    def __init__(self, worker_index: int, reason: str) -> None:
-        super().__init__(f"worker {worker_index} crashed: {reason}")
-        self.worker_index = int(worker_index)
-        self.reason = reason
 
 
 class IntakeOverflow(ServiceError, queue.Full):

@@ -282,9 +282,8 @@ class Scenario:
         most this many submitted-but-unconsumed responses outstanding,
         waiting on the oldest before submitting more — a *slow consumer*.
         Small windows starve the batcher of coalescing opportunities and
-        keep response payloads parked (in the process runner: response-ring
-        blocks held until the client drains), exercising the backpressure
-        path end to end.  ``0`` (default) is a fully open loop.
+        keep response payloads parked until the client drains, exercising
+        the backpressure path end to end.  ``0`` (default) is a fully open loop.
     faults:
         The :class:`~repro.service.faults.FaultSpec` armed when the caller
         asks for fault injection (all-zero spec = nothing to arm).

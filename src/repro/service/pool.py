@@ -27,16 +27,13 @@ __all__ = ["PoolEntry", "SessionFactory", "SessionPool"]
 
 
 class SessionFactory:
-    """Picklable session factory: a deconvolver config plus its kernels.
+    """Session factory: a deconvolver config plus its kernels.
 
-    The thread runner accepts any ``factory(key) -> Deconvolver`` callable,
-    but the process runner must ship the factory to spawned workers, and a
-    closure does not pickle.  This class carries the same payload the CLI
-    and bench closures used to capture — cell-cycle parameters, basis size,
-    constraint overrides, solver backend, pre-built kernels — as plain
-    attributes, so one instance serves both runners: the parent's
-    :class:`SessionPool` calls it for the degraded/in-process path while
-    each worker process calls its own pickled copy.
+    :class:`SessionPool` accepts any ``factory(key) -> Deconvolver``
+    callable; this class is the common one.  It carries cell-cycle
+    parameters, basis size, constraint overrides, solver backend and
+    pre-built kernels as plain attributes (so it also pickles), and builds
+    the same configured deconvolver for every shard key.
 
     Parameters
     ----------
@@ -141,11 +138,6 @@ class SessionPool:
         self.misses = 0
         self.evictions = 0
         self.build_failures = 0
-
-    @property
-    def factory(self) -> Callable[[Hashable], "Deconvolver"]:
-        """The session factory (the process runner ships it to workers)."""
-        return self._factory
 
     def __len__(self) -> int:
         return len(self._entries)

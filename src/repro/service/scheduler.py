@@ -16,16 +16,6 @@ plus one row of a batched solve, while every response stays bit-identical
 (to 1e-10) to a direct :meth:`~repro.core.deconvolver.Deconvolver.fit`
 call (the session layer's tested guarantee).
 
-Batches execute through one of two *runners*.  The default thread runner
-solves in-process on a thread pool — zero setup cost, but GIL-bound: one hot
-shard tops out at roughly one core.  ``runner="process"`` (or
-``REPRO_RUNNER=process``) routes coalesced batches to a
-:class:`~repro.service.workers.ShardWorkerPool` of pinned worker processes
-with shared-memory handoff, so concurrent batches — even of a single hot
-shard — solve on separate cores against per-worker session replicas.  The
-breaker/retry/degraded machinery stays parent-side and identical across
-runners; a dead worker is just one more transient failure.
-
 The scheduler is SLO-aware and failure-contained:
 
 * Requests carry a ``priority`` and an optional ``deadline_ms``.  Pending
@@ -45,8 +35,8 @@ The scheduler is SLO-aware and failure-contained:
 * A supervisor guarantees that no future ever hangs: if the batcher thread
   dies, every queued and pending future fails with
   :class:`~repro.service.errors.SchedulerCrashed` and later submits raise
-  it immediately; if a runner dies mid-drain its batches fail with the
-  causing error.
+  it immediately; if a shard runner dies mid-drain its batches fail with
+  the causing error.
 * An optional :class:`~repro.service.faults.FaultPlan` arms seeded fault
   injection at the solve boundary (solver errors, slow solves, cache
   evictions) for the chaos scenario suite.
@@ -62,7 +52,7 @@ stopping; ``drain=False`` cancels whatever has not been dispatched yet.
 
 from __future__ import annotations
 
-import os
+import math
 import queue
 import threading
 import time
@@ -85,7 +75,6 @@ from repro.service.faults import FaultPlan
 from repro.service.pool import SessionPool
 from repro.service.robustness import AdaptiveWindow, CircuitBreaker, RetryPolicy
 from repro.service.telemetry import Telemetry
-from repro.service.workers import ShardWorkerPool, ensure_picklable
 from repro.utils.rng import SeedLike
 
 __all__ = ["DEFAULT_CONFIG_KEY", "FitRequest", "MicroBatchScheduler"]
@@ -176,49 +165,37 @@ class _QueuedItem:
     settled: bool = field(default=False)
 
 
+def _invalid_request(request: FitRequest) -> ValueError | None:
+    """Admission check shared by ``submit`` and ``submit_many``.
+
+    Returns the request's own error, or ``None`` when it may be queued.
+    Malformed content has to fail at admission: inside a coalesced batch a
+    short vector breaks the shared ``column_stack`` and a NaN poisons the
+    shared solve, failing every neighbour with it.
+    """
+    try:
+        measurements = np.asarray(request.measurements, dtype=float)
+        times = np.asarray(request.times, dtype=float)
+        lam = None if request.lam is None else float(request.lam)
+    except (TypeError, ValueError) as exc:
+        return ValueError(f"invalid fit request: {exc}")
+    if measurements.ndim != 1 or measurements.shape != times.shape:
+        return ValueError(
+            f"measurements must be 1-D with one value per time point, got shape "
+            f"{measurements.shape} for {times.size} times"
+        )
+    if not np.isfinite(measurements).all():
+        return ValueError("measurements must be finite")
+    if lam is not None and not (math.isfinite(lam) and lam >= 0.0):
+        return ValueError(f"lam must be None or finite and >= 0, got {lam!r}")
+    return None
+
+
 def _make_item(request: FitRequest, future: Future, now: float, cache_key) -> _QueuedItem:
     deadline_at = None
     if request.deadline_ms is not None:
         deadline_at = now + float(request.deadline_ms) / 1e3
     return _QueuedItem(request, future, now, cache_key, deadline_at)
-
-
-class _ShardLease:
-    """Lazy pool lease standing in for a :class:`PoolEntry` (process runner).
-
-    The process runner solves in worker processes, which own their own
-    session replicas — the parent-side session is only needed when the
-    degraded path runs.  This proxy exposes the ``key``/``lock``/
-    ``deconvolver`` surface ``_run_batch`` touches but acquires the actual
-    pool entry on first session access (with the scheduler's retry policy),
-    so the common fast path never builds or leases a parent session.
-    """
-
-    __slots__ = ("_scheduler", "_entry", "key")
-
-    def __init__(self, scheduler: "MicroBatchScheduler", key: Hashable) -> None:
-        self._scheduler = scheduler
-        self._entry = None
-        self.key = key
-
-    @property
-    def entry(self):
-        if self._entry is None:
-            self._entry = self._scheduler._acquire_entry_with_retry(self.key)
-        return self._entry
-
-    @property
-    def lock(self):
-        return self.entry.lock
-
-    @property
-    def deconvolver(self):
-        return self.entry.deconvolver
-
-    def release(self) -> None:
-        if self._entry is not None:
-            self._scheduler.pool.release(self._entry)
-            self._entry = None
 
 
 class MicroBatchScheduler:
@@ -240,22 +217,10 @@ class MicroBatchScheduler:
         Bound of the intake queue; :meth:`submit` blocks once it is full
         (backpressure) until the batcher catches up.
     workers:
-        Size of the solve worker pool; defaults to
-        :func:`repro.config.default_pool_size` for an unbounded task count
-        of the runner's pool kind.  Under the thread runner batches for one
-        shard serialize on the shard lock, so workers buy parallelism
-        across shards; under the process runner every worker owns its own
-        session replicas and even a single hot shard fans out.
-    runner:
-        ``"thread"`` (default) solves batches in-process;``"process"``
-        dispatches them to a :class:`~repro.service.workers.ShardWorkerPool`
-        of spawned worker processes (true multi-core).  ``None`` consults
-        the environment variable named by :data:`repro.config.RUNNER_ENV_VAR`
-        at construction time.  The process runner needs a picklable pool
-        factory (:class:`~repro.service.pool.SessionFactory`): an explicit
-        ``runner="process"`` with an unpicklable factory raises
-        ``ValueError``, while an environment-selected one falls back to the
-        thread runner and counts a ``runner_fallbacks`` telemetry event.
+        Size of the solve thread pool; defaults to
+        :func:`repro.config.default_pool_size` for an unbounded task count.
+        Batches for one shard serialize on the shard lock, so workers buy
+        parallelism across shards.
     cache:
         Result cache; defaults to a fresh 1024-entry
         :class:`~repro.service.cache.ResultCache`.  Pass ``ResultCache(0)``
@@ -291,7 +256,6 @@ class MicroBatchScheduler:
         max_wait_ms: float = 2.0,
         max_queue: int = 1024,
         workers: int | None = None,
-        runner: str | None = None,
         cache: ResultCache | None = None,
         telemetry: Telemetry | None = None,
         retry: RetryPolicy | None = None,
@@ -317,37 +281,9 @@ class MicroBatchScheduler:
         self.fault_plan = fault_plan
         self.breaker_threshold = int(breaker_threshold)
         self.breaker_reset_s = float(breaker_reset_s)
-        requested_runner = runner
-        if runner is None:
-            runner = os.environ.get(config.RUNNER_ENV_VAR, config.DEFAULT_RUNNER)
-        if runner not in ("thread", "process"):
-            raise ValueError(
-                f"runner must be 'thread' or 'process', got {runner!r}"
-            )
-        self._worker_pool: ShardWorkerPool | None = None
-        if runner == "process":
-            try:
-                ensure_picklable(pool.factory)
-            except ValueError:
-                if requested_runner == "process":
-                    raise
-                # Environment-selected: degrade to the thread runner rather
-                # than refusing to serve (the env var is a deployment knob,
-                # not a per-call contract).
-                runner = "thread"
-                self.telemetry.increment("runner_fallbacks")
-        self.runner = runner
         self.workers = (
-            int(workers)
-            if workers is not None
-            else config.default_pool_size(
-                None, kind="process" if runner == "process" else "thread"
-            )
+            int(workers) if workers is not None else config.default_pool_size(None)
         )
-        if runner == "process":
-            self._worker_pool = ShardWorkerPool(
-                pool.factory, workers=self.workers, telemetry=self.telemetry
-            )
         self._queue: queue.Queue = queue.Queue(maxsize=int(max_queue))
         self._accept_lock = threading.Lock()
         self._closed = False
@@ -415,9 +351,11 @@ class MicroBatchScheduler:
     def submit(self, request: FitRequest, *, timeout: float | None = None) -> Future:
         """Queue one request; returns a future resolving to its result.
 
-        Cache hits resolve immediately without entering the queue.  A
-        request with a ``deadline_ms`` the service cannot meet is shed up
-        front: its future fails with
+        A malformed request (non-finite or mis-shaped measurements, a
+        negative or non-finite ``lam``) fails its own future with
+        ``ValueError`` and is never queued.  Cache hits resolve immediately
+        without entering the queue.  A request with a ``deadline_ms`` the
+        service cannot meet is shed up front: its future fails with
         :class:`~repro.service.errors.RequestShed` and nothing is queued.
         When the intake queue is full the call blocks (backpressure) until
         space frees, or raises :class:`queue.Full` after ``timeout`` seconds
@@ -427,6 +365,11 @@ class MicroBatchScheduler:
         """
         self._check_open()
         future: Future = Future()
+        invalid = _invalid_request(request)
+        if invalid is not None:
+            self.telemetry.record_batch({"requests": 1, "errors": 1}, {})
+            future.set_exception(invalid)
+            return future
         cache_key = request.fingerprint() if self.cache.max_entries > 0 else None
         if cache_key is not None:
             cached = self.cache.get(cache_key)
@@ -456,9 +399,9 @@ class MicroBatchScheduler:
     ) -> list[Future]:
         """Bulk intake: queue many requests with one lock round-trip.
 
-        Semantically ``[submit(r) for r in requests]`` (cache hits resolve
-        immediately, deadline-infeasible requests shed, the rest enter the
-        batching queue in order) but the accept lock and telemetry are
+        Semantically ``[submit(r) for r in requests]`` (malformed requests
+        fail alone, cache hits resolve immediately, deadline-infeasible
+        requests shed, the rest enter the batching queue in order) but the accept lock and telemetry are
         touched once for the whole list, which matters for bulk producers
         feeding hundreds of requests at a time.
 
@@ -475,11 +418,17 @@ class MicroBatchScheduler:
         futures: list[Future] = []
         hits = 0
         shed = 0
+        invalid = 0
         items: list[_QueuedItem] = []
         now = time.perf_counter()
         for request in requests:
             future = Future()
             futures.append(future)
+            error = _invalid_request(request)
+            if error is not None:
+                invalid += 1
+                future.set_exception(error)
+                continue
             cache_key = request.fingerprint() if self.cache.max_entries > 0 else None
             cached = self.cache.get(cache_key) if cache_key is not None else None
             if cached is not None:
@@ -521,6 +470,7 @@ class MicroBatchScheduler:
                     "cache_hits": hits,
                     "completed": hits,
                     "shed": shed,
+                    "errors": invalid,
                     "rejected": len(rejected_items),
                 },
                 {"latency_seconds": [0.0] * hits},
@@ -532,6 +482,7 @@ class MicroBatchScheduler:
                 "cache_hits": hits,
                 "completed": hits,
                 "shed": shed,
+                "errors": invalid,
             },
             {"latency_seconds": [0.0] * hits},
         )
@@ -573,11 +524,6 @@ class MicroBatchScheduler:
         if drain:
             self.drain(timeout)
         self._executor.shutdown(wait=True)
-        if self._worker_pool is not None:
-            # Runner threads have all returned, so no batch is in flight;
-            # closing here guarantees no orphaned worker process survives
-            # the scheduler.
-            self._worker_pool.close()
 
     def __enter__(self) -> "MicroBatchScheduler":
         return self
@@ -614,10 +560,6 @@ class MicroBatchScheduler:
             "queued": self._queue.qsize(),
             "outstanding": outstanding,
             "workers": self.workers,
-            "runner": self.runner,
-            "worker_pool": (
-                self._worker_pool.stats() if self._worker_pool is not None else None
-            ),
             "max_batch": self.max_batch,
             "max_wait_ms": self.max_wait_seconds * 1e3,
             "effective_wait_ms": self.effective_wait_seconds() * 1e3,
@@ -644,13 +586,6 @@ class MicroBatchScheduler:
             deadlines.pop(key, None)
             priorities.pop(key, None)
             shard = key[0]
-            if self._worker_pool is not None:
-                # Process runner: no per-shard serialization.  Each worker
-                # owns its own session replica, so concurrent batches of one
-                # shard are exactly the point — hand every batch straight to
-                # a runner thread (which parks on its worker's response).
-                self._executor.submit(self._run_process_batch, shard, items)
-                return
             with self._shard_lock:
                 self._shard_queues.setdefault(shard, []).append(items)
                 if shard in self._shard_active:
@@ -840,23 +775,6 @@ class MicroBatchScheduler:
         finally:
             self.pool.release(entry)
 
-    def _run_process_batch(self, shard: Hashable, items: list[_QueuedItem]) -> None:
-        """Run one dispatched batch through the process runner.
-
-        The heavy lifting happens in a worker process; the parent session is
-        leased lazily (only if the degraded path actually runs) and released
-        when the batch settles.  Like ``_run_shard``, a dying runner fails
-        its own items instead of stranding them.
-        """
-        lease = _ShardLease(self, shard)
-        try:
-            self._run_batch(lease, items)
-        except BaseException as exc:
-            for item in items:
-                self._fail(item, exc)
-        finally:
-            lease.release()
-
     def _solve_fast(self, entry, to_solve: list[_QueuedItem]) -> list:
         """One batched ``fit_many`` dispatch with retry and breaker wiring."""
         breaker = self._breaker_for(entry.key)
@@ -865,51 +783,28 @@ class MicroBatchScheduler:
         while True:
             try:
                 start = time.perf_counter()
-                if self._worker_pool is not None:
+                with entry.lock:
                     if self.fault_plan is not None:
                         self.fault_plan.before_solve(entry.key, len(to_solve))
                     matrix = np.column_stack(
                         [item.request.measurements for item in to_solve]
                     )
-                    # Same single-bucket batch as the thread path below, but
-                    # dispatched to a pinned worker process; a dead or
-                    # timed-out worker raises WorkerCrashed (transient) and
-                    # lands in the shared retry/breaker machinery.
-                    results = self._worker_pool.solve_batch(
-                        entry.key,
-                        times=first.times,
-                        matrix=matrix,
+                    # All items share a batch key, so this is exactly one
+                    # session bucket: dispatch it as a single fit_many call
+                    # (one stacked multi-RHS solve per distinct lambda)
+                    # against the shard's warm session caches.
+                    results = entry.deconvolver.fit_many(
+                        first.times,
+                        matrix,
                         sigma=first.sigma,
-                        lams=None
+                        lam=None
                         if first.lam is None
                         else [item.request.lam for item in to_solve],
                         lambda_method=first.lambda_method,
                         lambda_grid=first.lambda_grid,
                         rng=first.rng,
+                        engine="batch",
                     )
-                else:
-                    with entry.lock:
-                        if self.fault_plan is not None:
-                            self.fault_plan.before_solve(entry.key, len(to_solve))
-                        matrix = np.column_stack(
-                            [item.request.measurements for item in to_solve]
-                        )
-                        # All items share a batch key, so this is exactly one
-                        # session bucket: dispatch it as a single fit_many
-                        # call (one stacked multi-RHS solve per distinct
-                        # lambda) against the shard's warm session caches.
-                        results = entry.deconvolver.fit_many(
-                            first.times,
-                            matrix,
-                            sigma=first.sigma,
-                            lam=None
-                            if first.lam is None
-                            else [item.request.lam for item in to_solve],
-                            lambda_method=first.lambda_method,
-                            lambda_grid=first.lambda_grid,
-                            rng=first.rng,
-                            engine="batch",
-                        )
                 self._observe_solve(time.perf_counter() - start, len(to_solve))
                 breaker.record_success()
                 return results

@@ -151,19 +151,6 @@ class Telemetry:
         with self._lock:
             return self._gauges.get(name, 0.0)
 
-    def record_worker(self, index: int, **values: float) -> None:
-        """Set per-worker gauges ``worker{index}_<name>`` in one locked pass.
-
-        The process runner's :class:`~repro.service.workers.ShardWorkerPool`
-        publishes each slot's liveness, in-flight depth and served-batch
-        count here (``worker0_alive``, ``worker0_inflight``,
-        ``worker0_batches``, ...), so ``/metrics`` and ``stats()`` expose
-        the per-worker view without a worker round-trip.
-        """
-        with self._lock:
-            for name, value in values.items():
-                self._gauges[f"worker{int(index)}_{name}"] = float(value)
-
     def record_batch(self, counters: dict, observations: dict) -> None:
         """Apply many counter increments and observations in one locked pass.
 

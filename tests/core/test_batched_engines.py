@@ -212,32 +212,6 @@ class TestBatchedVolumeKernel:
 
 class TestFitManyBatched:
     @pytest.mark.parametrize("method", ["gcv", "kfold"])
-    def test_thread_bit_for_bit_equals_serial(
-        self, small_kernel, paper_parameters, measurement_times, species_matrix, method
-    ):
-        serial = Deconvolver(small_kernel, parameters=paper_parameters, num_basis=12)
-        serial_results = serial.fit_many(
-            measurement_times,
-            species_matrix,
-            lambda_method=method,
-            engine="serial",
-            warm_start_chain=False,
-        )
-        parallel = Deconvolver(small_kernel, parameters=paper_parameters, num_basis=12)
-        parallel_results = parallel.fit_many(
-            measurement_times,
-            species_matrix,
-            lambda_method=method,
-            engine="thread",
-            workers=3,
-        )
-        assert len(serial_results) == len(parallel_results) == species_matrix.shape[1]
-        for a, b in zip(serial_results, parallel_results):
-            assert a.lam == b.lam
-            assert np.array_equal(a.coefficients, b.coefficients)
-            assert np.array_equal(a.fitted, b.fitted)
-
-    @pytest.mark.parametrize("method", ["gcv", "kfold"])
     def test_batch_engine_matches_serial_solve_results(
         self, small_kernel, paper_parameters, measurement_times, species_matrix, method
     ):
@@ -282,30 +256,6 @@ class TestFitManyBatched:
         for a, b in zip(results, reference):
             np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-10)
 
-    def test_process_engine_smoke(
-        self, small_kernel, paper_parameters, measurement_times, species_matrix
-    ):
-        """The process-pool escape hatch reproduces the serial results."""
-        deconvolver = Deconvolver(small_kernel, parameters=paper_parameters, num_basis=12)
-        results = deconvolver.fit_many(
-            measurement_times,
-            species_matrix[:, :2],
-            lam=1e-3,
-            engine="process",
-            workers=2,
-        )
-        reference = Deconvolver(
-            small_kernel, parameters=paper_parameters, num_basis=12
-        ).fit_many(
-            measurement_times,
-            species_matrix[:, :2],
-            lam=1e-3,
-            engine="serial",
-            warm_start_chain=False,
-        )
-        for a, b in zip(results, reference):
-            np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-12)
-
     def test_unknown_engine_rejected(
         self, small_kernel, paper_parameters, measurement_times, species_matrix
     ):
@@ -316,11 +266,14 @@ class TestFitManyBatched:
     def test_chained_default_close_to_independent(
         self, small_kernel, paper_parameters, measurement_times, species_matrix
     ):
+        """The serial engine's warm chain reaches the independent optima."""
         chained = Deconvolver(small_kernel, parameters=paper_parameters, num_basis=12)
-        chained_results = chained.fit_many(measurement_times, species_matrix)
+        chained_results = chained.fit_many(
+            measurement_times, species_matrix, engine="serial"
+        )
         independent = Deconvolver(small_kernel, parameters=paper_parameters, num_basis=12)
         independent_results = independent.fit_many(
-            measurement_times, species_matrix, warm_start_chain=False
+            measurement_times, species_matrix, engine="serial", warm_start_chain=False
         )
         for a, b in zip(chained_results, independent_results):
             assert a.lam == b.lam
@@ -330,9 +283,7 @@ class TestFitManyBatched:
         self, small_kernel, paper_parameters, measurement_times, species_matrix
     ):
         deconvolver = Deconvolver(small_kernel, parameters=paper_parameters, num_basis=12)
-        results = deconvolver.fit_many(
-            measurement_times, species_matrix, lam=1e-3, workers=2
-        )
+        results = deconvolver.fit_many(measurement_times, species_matrix, lam=1e-3)
         assert all(result.lam == 1e-3 for result in results)
         assert all(result.solver_converged for result in results)
 

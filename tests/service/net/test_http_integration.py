@@ -15,9 +15,11 @@ import pytest
 from repro.service import IntakeOverflow, max_coefficient_gap, serial_reference
 from repro.service.net import (
     FitHTTPClient,
+    Frame,
     ProtocolError,
     WireFit,
     WireResult,
+    decode_frame,
 )
 
 NUM_CLIENTS = 4
@@ -146,6 +148,32 @@ class TestTypedErrorsOverTheWire:
         with FitHTTPClient(live_server.host, live_server.port) as client:
             with pytest.raises(ProtocolError):
                 client.fit(wire)
+
+    def test_negative_lambda_answers_400_and_neighbours_still_solve(
+        self, live_server, net_factory, net_workload
+    ):
+        wires = [WireFit.from_request(request) for request in net_workload[:8]]
+        wires[3].lam = -1e-3
+        with FitHTTPClient(live_server.host, live_server.port) as client:
+            status, data = client._round_trip(
+                "POST", "/v1/fit", Frame("fit", wires[3].to_payload()).encode()
+            )
+            batch = client.fit_batch(wires)
+        reply = decode_frame(data)
+        assert status == 400
+        assert reply.kind == "error" and reply.payload["code"] == "bad_request"
+        # In a batch the bad entry fails alone; its neighbours still solve.
+        assert isinstance(batch[3], ProtocolError)
+        valid = [index for index in range(len(wires)) if index != 3]
+        references = serial_reference(
+            net_factory("reference"), [net_workload[index] for index in valid]
+        )
+        results = [batch[index] for index in valid]
+        assert max_coefficient_gap(results, references) <= 1e-10
+        assert [r.lam for r in results] == [r.lam for r in references]
+        counters = live_server.server.telemetry.snapshot()["counters"]
+        assert counters.get("breaker_trips", 0) == 0
+        assert counters.get("degraded_requests", 0) == 0
 
     def test_partial_batch_overflow_contract(self, live_server, net_workload):
         # An empty batch stays a valid (trivially complete) batch.

@@ -1,9 +1,12 @@
 """Tests for the sharded, LRU-bounded session pool."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.core.deconvolver import Deconvolver
-from repro.service import SessionPool
+from repro.service import SessionFactory, SessionPool
 
 
 class CountingFactory:
@@ -108,3 +111,17 @@ class TestSessionPool:
             SessionPool(factory, max_entries=0)
         with pytest.raises(ValueError):
             SessionPool(factory, max_bytes=-1)
+
+
+class TestSessionFactory:
+    def test_session_factory_pickles_and_rebuilds(self, paper_parameters, small_kernel):
+        factory = SessionFactory(
+            parameters=paper_parameters, num_basis=8, kernels=[small_kernel]
+        )
+        clone = pickle.loads(pickle.dumps(factory))
+        deconvolver = clone("any-key")
+        assert isinstance(deconvolver, Deconvolver)
+        values = small_kernel.apply_function(lambda v: np.full_like(v, 1.0))
+        direct = factory("any-key").fit(small_kernel.times, values, lam=1e-3)
+        rebuilt = deconvolver.fit(small_kernel.times, values, lam=1e-3)
+        assert np.max(np.abs(direct.coefficients - rebuilt.coefficients)) <= 1e-12

@@ -6,6 +6,7 @@ response must match a direct one-shot ``Deconvolver.fit`` to 1e-10 — under
 concurrent producers, coalescing, dedup, cache hits and drain.
 """
 
+import dataclasses
 import queue
 import threading
 import time
@@ -109,6 +110,52 @@ class TestEquivalence:
             assert result.lam == expected.lam
 
 
+def _malformed(request, kind):
+    """A copy of ``request`` broken in one way the admission check rejects."""
+    measurements = request.measurements.copy()
+    lam = request.lam
+    if kind == "nan":
+        measurements[1] = np.nan
+    elif kind == "short":
+        measurements = measurements[:-1]
+    else:
+        lam = -1e-3
+    # Every other field is kept, so the bad request coalesces with its
+    # neighbours' batch key whenever its shape allows.
+    return dataclasses.replace(request, measurements=measurements, lam=lam)
+
+
+class TestMalformedRequestsFailAlone:
+    @pytest.mark.parametrize("intake", ["submit", "submit_many"])
+    @pytest.mark.parametrize("kind", ["nan", "short", "negative_lam"])
+    def test_invalid_request_does_not_fail_its_neighbours(
+        self, factory, workload, kind, intake
+    ):
+        bad_positions = {3, 11, 19}
+        requests = list(workload)
+        for position in bad_positions:
+            requests[position] = _malformed(workload[position], kind)
+        pool = SessionPool(factory)
+        with MicroBatchScheduler(pool, max_batch=32, max_wait_ms=5.0) as scheduler:
+            if intake == "submit":
+                futures = [scheduler.submit(request) for request in requests]
+            else:
+                futures = scheduler.submit_many(requests)
+            scheduler.drain(timeout=60.0)
+            counters = scheduler.telemetry.snapshot()["counters"]
+        for position in bad_positions:
+            with pytest.raises(ValueError):
+                futures[position].result(timeout=0)
+        valid = [i for i in range(len(requests)) if i not in bad_positions]
+        results = [futures[i].result(timeout=0) for i in valid]
+        references = serial_reference(factory("reference"), [requests[i] for i in valid])
+        assert max_coefficient_gap(results, references) <= 1e-10
+        assert [r.lam for r in results] == [r.lam for r in references]
+        assert counters.get("breaker_trips", 0) == 0
+        assert counters.get("degraded_requests", 0) == 0
+        assert counters["errors"] == len(bad_positions)
+
+
 class TestCacheAndDedup:
     def test_cache_hit_short_circuits_resolved_future(self, factory, workload):
         pool = SessionPool(factory)
@@ -201,16 +248,52 @@ class TestLifecycle:
 
     def test_solver_errors_propagate_to_futures(self, factory, kernels):
         pool = SessionPool(factory)
+        # Well-formed, so it passes admission; the solver rejects the method.
         bad = FitRequest(
             times=kernels[0].times.copy(),
-            measurements=np.ones(kernels[0].times.size + 3),  # wrong length
-            lam=1e-3,
+            measurements=np.ones(kernels[0].times.size),
+            lambda_method="no-such-method",
         )
         with MicroBatchScheduler(pool, max_wait_ms=0.5) as scheduler:
             future = scheduler.submit(bad)
             with pytest.raises(Exception):
                 future.result(timeout=10)
             assert scheduler.telemetry.counter("errors") == 1
+
+    def test_queue_accounting_and_graceful_drain(self, factory, workload):
+        pool = SessionPool(factory)
+        scheduler = MicroBatchScheduler(pool, max_batch=4, max_wait_ms=10.0, workers=2)
+        futures = []
+        samples = []
+
+        def produce(offset):
+            for index in range(offset, len(workload), 2):
+                futures.append(scheduler.submit(workload[index]))
+                # Sampled under the accept lock, so no submit is half-way
+                # between its enqueue and its outstanding increment.
+                with scheduler._accept_lock:
+                    samples.append((scheduler.queue_depth(), scheduler.outstanding()))
+
+        threads = [threading.Thread(target=produce, args=(offset,)) for offset in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        # Sampled while submissions raced the drain: queued is a subset of
+        # outstanding, and outstanding never exceeds what was accepted.
+        for queued, outstanding in samples:
+            assert 0 <= queued <= outstanding <= len(workload)
+        scheduler.shutdown(drain=True)
+        # Graceful drain: every accepted future resolved (no cancellations)
+        # and the accounting returns to zero.
+        assert all(future.done() and not future.cancelled() for future in futures)
+        assert len([future.result() for future in futures]) == len(workload)
+        assert scheduler.outstanding() == 0
+        assert scheduler.queue_depth() == 0
+
+    def test_default_workers_is_thread_cap(self, factory):
+        with MicroBatchScheduler(SessionPool(factory)) as scheduler:
+            assert scheduler.workers == scheduler.stats()["workers"] == 4
 
     def test_validation(self, factory):
         pool = SessionPool(factory)

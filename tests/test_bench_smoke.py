@@ -39,7 +39,6 @@ EXPECTED_STAGES = {
     "fit_stream",
     "service_throughput",
     "service_slo",
-    "service_scaling",
 }
 
 

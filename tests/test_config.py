@@ -1,7 +1,5 @@
 """Tests for shared configuration helpers (worker-pool sizing)."""
 
-import pytest
-
 from repro import config
 
 
@@ -11,18 +9,9 @@ class TestDefaultPoolSize:
         assert config.default_pool_size(3) == 3
         assert config.default_pool_size(100) == config.DEFAULT_THREAD_POOL_CAP
 
-    def test_process_cap(self):
-        assert config.default_pool_size(100, kind="process") == config.DEFAULT_PROCESS_POOL_CAP
-        assert config.default_pool_size(2, kind="process") == 2
-
     def test_unbounded_gets_full_cap(self):
-        assert config.default_pool_size(None) == config.DEFAULT_THREAD_POOL_CAP
-        assert config.default_pool_size(None, kind="process") == config.DEFAULT_PROCESS_POOL_CAP
+        assert config.default_pool_size(None) == config.DEFAULT_THREAD_POOL_CAP == 4
 
     def test_at_least_one_worker(self):
         assert config.default_pool_size(0) == 1
         assert config.default_pool_size(-3) == 1
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            config.default_pool_size(4, kind="fiber")
