@@ -221,18 +221,45 @@ class Deconvolver:
         problem reference: batched high-throughput paths only pay for what a
         caller actually reads, and the values are identical either way.
         """
-        coefficients = qp_result.x
+        return self._package(
+            problem,
+            lam,
+            qp_result.x,
+            qp_result.converged,
+            qp_result.iterations,
+            qp_result.active_set,
+            ensure_1d(times, "times").copy(),
+            problem.measurements.copy(),
+            lambda_path,
+        )
+
+    def _package(
+        self,
+        problem: DeconvolutionProblem,
+        lam: float,
+        coefficients: np.ndarray,
+        converged: bool,
+        iterations: int,
+        active_set: Sequence[int],
+        times: np.ndarray,
+        measurements: np.ndarray,
+        lambda_path: dict[float, float],
+    ) -> DeconvolutionResult:
+        """The one :class:`DeconvolutionResult` constructor call of every path.
+
+        ``times`` and ``measurements`` must be arrays the result may own.
+        """
         return DeconvolutionResult(
             coefficients=coefficients,
             basis=self.basis,
             lam=float(lam),
-            times=ensure_1d(times, "times").copy(),
-            measurements=problem.measurements.copy(),
-            solver_converged=qp_result.converged,
-            solver_iterations=qp_result.iterations,
+            times=times,
+            measurements=measurements,
+            solver_converged=converged,
+            solver_iterations=iterations,
             lambda_path=lambda_path,
             mean_cycle_time=self.parameters.mean_cycle_time,
-            solver_active_set=list(qp_result.active_set),
+            solver_active_set=list(active_set),
             problem=problem,
         )
 
@@ -340,8 +367,11 @@ class Deconvolver:
                 results.append(previous)
             return results
 
+        times = ensure_1d(times, "times")
         workspace = self.fit_workspace(times, sigma=sigma, rng=rng)
-        problems = [workspace.problem_for(matrix[:, column]) for column in range(num_species)]
+        # One up-front check of the whole matrix (before any solve); the
+        # per-column siblings and results below skip per-vector validation.
+        problems = workspace.template.siblings(matrix)
         lams: list[float] = []
         paths: list[dict[float, float]] = []
         unselected = [column for column, value in enumerate(requested) if value is None]
@@ -390,10 +420,43 @@ class Deconvolver:
             # group's last active set seeds the next group's batched KKT
             # verification — the cross-species warm chain of the serial
             # engine, expressed as shared-set guesses.
+            #
+            # Results are built straight from the stacked solve arrays, each
+            # owning one row of a stacked copy of the (validated) times and
+            # measurements: writing to one result's arrays never touches its
+            # batch neighbours or the caller's matrix.
+            stacked_times = np.repeat(times[None, :], num_species, axis=0)
+            stacked_measurements = matrix.T.copy()
+            results = [None] * num_species  # type: ignore[list-item]
+
+            def package(column, x, converged, iterations, active_set) -> None:
+                results[column] = self._package(
+                    problems[column],
+                    lams[column],
+                    x,
+                    converged,
+                    iterations,
+                    active_set,
+                    stacked_times[column],
+                    stacked_measurements[column],
+                    paths[column],
+                )
+
+            def package_rows(batch, columns) -> None:
+                converged = batch.converged.tolist()
+                iterations = batch.iterations.tolist()
+                for row, column in enumerate(columns):
+                    package(
+                        column,
+                        batch.x[row],
+                        converged[row],
+                        iterations[row],
+                        batch.active_sets[row],
+                    )
+
             groups: dict[float, list[int]] = {}
             for column, chosen in enumerate(lams):
                 groups.setdefault(chosen, []).append(column)
-            results = [None] * num_species  # type: ignore[list-item]
             if len(groups) > 1 and cross_lambda is not False:
                 # Mixed-lambda batch: one stacked eig-basis pass solves every
                 # column regardless of its lambda (per-group active-set
@@ -403,16 +466,8 @@ class Deconvolver:
                 mixed = workspace.template.solve_mixed(
                     lams, matrix, backend=self.solver_backend
                 )
-                return [
-                    self._result_from_solve(
-                        problems[column],
-                        lams[column],
-                        mixed.result(column),
-                        times,
-                        paths[column],
-                    )
-                    for column in range(num_species)
-                ]
+                package_rows(mixed, range(num_species))
+                return results
             shared: list[int] | None = None
             for chosen in sorted(groups, reverse=True):
                 columns = groups[chosen]
@@ -425,8 +480,12 @@ class Deconvolver:
                     qp_result = problems[column].solve(
                         chosen, backend=self.solver_backend, active_set=shared
                     )
-                    results[column] = self._result_from_solve(
-                        problems[column], chosen, qp_result, times, paths[column]
+                    package(
+                        column,
+                        qp_result.x,
+                        qp_result.converged,
+                        qp_result.iterations,
+                        qp_result.active_set,
                     )
                     shared = list(qp_result.active_set) or shared
                     continue
@@ -436,10 +495,7 @@ class Deconvolver:
                     backend=self.solver_backend,
                     shared_active_set=shared,
                 )
-                for row, column in enumerate(columns):
-                    results[column] = self._result_from_solve(
-                        problems[column], chosen, batch.result(row), times, paths[column]
-                    )
+                package_rows(batch, columns)
                 shared = batch.active_sets[-1] or shared
             return results
 

@@ -435,11 +435,14 @@ class DeconvolutionProblem:
         if backend != "scipy" and np.all(distinct > 0.0):
             # Quantize the shift to half-decades around the batch's geometric
             # mean so batches drawn from a stable lambda population reuse one
-            # cached plan (and its remembered working sets).
+            # cached plan (and its remembered working sets).  Each quantized
+            # shift has its own slot: traffic alternating between lambda
+            # populations (fixed-lambda and selected batches, say) would
+            # otherwise evict and rebuild the plan on every switch.
             log_shift = round(2.0 * float(np.mean(np.log10(distinct)))) / 2.0
             try:
                 plan = self.selection_cache(
-                    "mixed_lambda_plan",
+                    ("mixed_lambda_plan", log_shift),
                     lambda: MixedLambdaEigPlan(
                         self.gram,
                         self.penalty,
@@ -458,7 +461,6 @@ class DeconvolutionProblem:
                         if self.constraint_set.has_inequalities
                         else None,
                     ),
-                    fingerprint=log_shift,
                 )
             except np.linalg.LinAlgError:
                 plan = None
@@ -477,16 +479,14 @@ class DeconvolutionProblem:
                     lams, gradients, guess=shared_active_set, tol=tol
                 )
             except np.linalg.LinAlgError:
+                stacked_x, stacked_obj = x, objectives
                 stacked_sets = [None] * num_problems
-            for index, active in enumerate(stacked_sets):
-                if active is None:
-                    continue
-                x[index] = stacked_x[index]
-                objectives[index] = stacked_obj[index]
-                iterations[index] = 1
-                converged[index] = True
-                active_sets[index] = sorted(active)
-                solved[index] = True
+            solved[:] = [active is not None for active in stacked_sets]
+            x[solved] = stacked_x[solved]
+            objectives[solved] = stacked_obj[solved]
+            iterations[solved] = 1
+            converged[solved] = True
+            active_sets = [[] if active is None else sorted(active) for active in stacked_sets]
         # Per-group active-set fallback for the rows the stacked pass could
         # not confirm (a different positivity pattern binds, or accuracy
         # guards tripped) — identical to the pre-stacked per-group sweep,
@@ -556,6 +556,32 @@ class DeconvolutionProblem:
         measurements = ensure_1d(measurements, "measurements")
         if measurements.size != self.measurements.size:
             raise ValueError("measurements length does not match the problem")
+        return self._sibling(measurements)
+
+    def siblings(self, measurement_matrix: np.ndarray) -> list["DeconvolutionProblem"]:
+        """One :meth:`with_measurements` sibling per column, validated once.
+
+        The whole matrix is checked up front — row count and finiteness,
+        with :meth:`with_measurements`' error messages — so a bad column
+        fails the batch before any solve, and the per-column siblings skip
+        the per-vector validation.  Each sibling's measurements are a view
+        of its column.
+        """
+        matrix = np.asarray(measurement_matrix, dtype=float)
+        if matrix.ndim != 2:
+            raise ValueError("measurement_matrix must be two-dimensional")
+        if matrix.shape[0] != self.measurements.size:
+            raise ValueError("measurements length does not match the problem")
+        if not np.isfinite(matrix).all():
+            raise ValueError("measurements contains non-finite entries")
+        return [self._sibling(column) for column in matrix.T]
+
+    def _sibling(self, measurements: np.ndarray) -> "DeconvolutionProblem":
+        """Non-validating constructor behind :meth:`with_measurements`.
+
+        ``measurements`` must already be a finite 1-D float array of the
+        right length.
+        """
         sibling = DeconvolutionProblem.__new__(DeconvolutionProblem)
         sibling.forward = self.forward
         sibling.measurements = measurements

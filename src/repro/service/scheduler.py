@@ -56,6 +56,7 @@ import math
 import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
@@ -155,14 +156,95 @@ class FitRequest:
 
 @dataclass
 class _QueuedItem:
-    """A request in flight: the future to resolve and its timing/cache keys."""
+    """A request in flight: the future to resolve and its timing/cache keys.
+
+    ``batch_key`` is computed once, by the producer; the batcher and the
+    shard runners only read it.
+    """
 
     request: FitRequest
     future: Future
     enqueued_at: float
+    batch_key: tuple
     cache_key: str | None = field(default=None)
     deadline_at: float | None = field(default=None)
     settled: bool = field(default=False)
+
+
+class _Intake:
+    """FIFO of same-batch-key request groups, bounded by requests held.
+
+    Each entry is a non-empty list of :class:`_QueuedItem` sharing one batch
+    key (``submit`` enqueues a one-item list, ``submit_many`` one list per
+    batch key), so the batcher pays one handoff per group instead of one per
+    request.  The ``max_requests`` bound counts *requests*, not entries:
+    :meth:`put` enqueues the longest prefix of a group that fits, blocking
+    until at least one slot frees.  The stop sentinel is exempt from the
+    bound, and :meth:`unbound` lifts the bound for good (the crash path, so
+    a producer blocked mid-group can finish and have its items failed).
+    """
+
+    def __init__(self, max_requests: int) -> None:
+        self.max_requests = max_requests
+        self._entries: deque = deque()
+        self._requests = 0
+        self._lock = threading.Lock()
+        self._not_empty = threading.Condition(self._lock)
+        self._not_full = threading.Condition(self._lock)
+
+    def qsize(self) -> int:
+        """Number of requests held (not entries)."""
+        return self._requests
+
+    def put(self, items: list, timeout: float | None = None) -> int:
+        """Enqueue the longest prefix of ``items`` that fits; returns its length.
+
+        Blocks while the intake is full; raises :class:`queue.Full` when no
+        slot frees within ``timeout`` seconds.
+        """
+        with self._not_full:
+            if not self._not_full.wait_for(
+                lambda: self._requests < self.max_requests, timeout
+            ):
+                raise queue.Full
+            accepted = min(len(items), self.max_requests - self._requests)
+            self._entries.append(items if accepted == len(items) else items[:accepted])
+            self._requests += accepted
+            self._not_empty.notify()
+            return accepted
+
+    def put_stop(self) -> None:
+        """Enqueue the stop sentinel behind everything accepted so far."""
+        with self._lock:
+            self._entries.append(_STOP)
+            self._not_empty.notify()
+
+    def get(self, timeout: float | None = None):
+        """Pop the oldest entry; raises :class:`queue.Empty` on timeout."""
+        with self._not_empty:
+            if not self._not_empty.wait_for(lambda: self._entries, timeout):
+                raise queue.Empty
+            return self._pop()
+
+    def get_nowait(self):
+        """Pop the oldest entry; raises :class:`queue.Empty` when there is none."""
+        with self._lock:
+            if not self._entries:
+                raise queue.Empty
+            return self._pop()
+
+    def _pop(self):
+        entry = self._entries.popleft()
+        if entry is not _STOP:
+            self._requests -= len(entry)
+            self._not_full.notify()
+        return entry
+
+    def unbound(self) -> None:
+        """Lift the bound and wake every blocked producer."""
+        with self._lock:
+            self.max_requests = math.inf
+            self._not_full.notify_all()
 
 
 def _invalid_request(request: FitRequest) -> ValueError | None:
@@ -195,7 +277,7 @@ def _make_item(request: FitRequest, future: Future, now: float, cache_key) -> _Q
     deadline_at = None
     if request.deadline_ms is not None:
         deadline_at = now + float(request.deadline_ms) / 1e3
-    return _QueuedItem(request, future, now, cache_key, deadline_at)
+    return _QueuedItem(request, future, now, request.batch_key(), cache_key, deadline_at)
 
 
 class MicroBatchScheduler:
@@ -214,8 +296,8 @@ class MicroBatchScheduler:
         ``adaptive_wait`` the *effective* window shrinks toward the
         observed solve latency but never exceeds this bound.
     max_queue:
-        Bound of the intake queue; :meth:`submit` blocks once it is full
-        (backpressure) until the batcher catches up.
+        Bound of the intake queue, in requests; :meth:`submit` blocks once
+        it is full (backpressure) until the batcher catches up.
     workers:
         Size of the solve thread pool; defaults to
         :func:`repro.config.default_pool_size` for an unbounded task count.
@@ -284,7 +366,7 @@ class MicroBatchScheduler:
         self.workers = (
             int(workers) if workers is not None else config.default_pool_size(None)
         )
-        self._queue: queue.Queue = queue.Queue(maxsize=int(max_queue))
+        self._queue = _Intake(int(max_queue))
         self._accept_lock = threading.Lock()
         self._closed = False
         self._discard = False
@@ -388,7 +470,7 @@ class MicroBatchScheduler:
         item = _make_item(request, future, time.perf_counter(), cache_key)
         with self._accept_lock:
             self._check_open()
-            self._queue.put(item, timeout=timeout)
+            self._queue.put([item], timeout=timeout)
             with self._outstanding_cond:
                 self._outstanding += 1
         self.telemetry.increment("requests")
@@ -401,25 +483,29 @@ class MicroBatchScheduler:
 
         Semantically ``[submit(r) for r in requests]`` (malformed requests
         fail alone, cache hits resolve immediately, deadline-infeasible
-        requests shed, the rest enter the batching queue in order) but the accept lock and telemetry are
-        touched once for the whole list, which matters for bulk producers
-        feeding hundreds of requests at a time.
+        requests shed, the rest enter the batching queue in order within
+        each batch key) but the accept lock and telemetry are touched once
+        for the whole list and the intake receives one entry per batch key,
+        which matters for bulk producers feeding hundreds of requests at a
+        time.
 
         If a ``timeout`` is given and the queue stays full, the call raises
         :class:`~repro.service.errors.IntakeOverflow` (a
         :class:`queue.Full` subclass) carrying the explicit split: its
         ``accepted`` lists one future per accepted request in input order
         (cache hits and enqueued requests — all of which are still
-        processed), its ``rejected`` lists the requests that never entered
-        the queue.  The rejected requests' futures are failed with the same
-        overflow error, so nothing silently drops and nothing hangs.
+        processed), its ``rejected`` lists, in input order, the requests
+        that never entered the queue.  The rejected requests' futures are
+        failed with the same overflow error, so nothing silently drops and
+        nothing hangs.
         """
         self._check_open()
         futures: list[Future] = []
         hits = 0
         shed = 0
         invalid = 0
-        items: list[_QueuedItem] = []
+        queued: list[_QueuedItem] = []
+        groups: dict[tuple, list[_QueuedItem]] = {}
         now = time.perf_counter()
         for request in requests:
             future = Future()
@@ -440,22 +526,27 @@ class MicroBatchScheduler:
                 shed += 1
                 future.set_exception(shed_exc)
                 continue
-            items.append(_make_item(request, future, now, cache_key))
-        accepted = 0
+            item = _make_item(request, future, now, cache_key)
+            queued.append(item)
+            groups.setdefault(item.batch_key, []).append(item)
+        pending = list(groups.values())
         try:
             with self._accept_lock:
                 self._check_open()
-                for item in items:
-                    # Count each item as it is accepted: if a put times out
-                    # mid-batch, the already-enqueued items stay correctly
+                while pending:
+                    # Count each slice as it is accepted: if a put times out
+                    # mid-list, the already-enqueued items stay correctly
                     # accounted and drain()/shutdown() still converge.
-                    self._queue.put(item, timeout=timeout)
+                    accepted = self._queue.put(pending[0], timeout=timeout)
                     with self._outstanding_cond:
-                        self._outstanding += 1
-                    accepted += 1
+                        self._outstanding += accepted
+                    if accepted == len(pending[0]):
+                        pending.pop(0)
+                    else:
+                        pending[0] = pending[0][accepted:]
         except queue.Full:
-            rejected_items = items[accepted:]
-            rejected_futures = {id(item.future) for item in rejected_items}
+            rejected_futures = {id(item.future) for group in pending for item in group}
+            rejected_items = [item for item in queued if id(item.future) in rejected_futures]
             overflow = IntakeOverflow(
                 [f for f in futures if id(f) not in rejected_futures],
                 [item.request for item in rejected_items],
@@ -519,7 +610,7 @@ class MicroBatchScheduler:
             else:
                 self._closed = True
                 self._discard = not drain
-        self._queue.put(_STOP)
+        self._queue.put_stop()
         self._batcher.join(timeout)
         if drain:
             self.drain(timeout)
@@ -542,7 +633,7 @@ class MicroBatchScheduler:
         return self._crashed is not None
 
     def queue_depth(self) -> int:
-        """Number of accepted requests waiting in the intake queue."""
+        """Number of accepted requests (not entries) waiting in the intake queue."""
         return self._queue.qsize()
 
     def outstanding(self) -> int:
@@ -593,24 +684,40 @@ class MicroBatchScheduler:
                 self._shard_active.add(shard)
             self._executor.submit(self._run_shard, shard)
 
-        def add(item: _QueuedItem) -> None:
-            key = item.request.batch_key()
-            bucket = pending.setdefault(key, [])
+        # Items of the entry being added that sit in no bucket yet; the
+        # crash path fails them along with the buckets.
+        unplaced: list[_QueuedItem] = []
+
+        def add(entry: list[_QueuedItem]) -> None:
+            # One intake entry holds requests of a single batch key; it is
+            # split at max_batch boundaries exactly as one-by-one arrival
+            # would be.
+            nonlocal unplaced
+            unplaced = entry
+            key = entry[0].batch_key
             now = time.perf_counter()
-            if not bucket:
-                deadlines[key] = now + self.effective_wait_seconds()
-                priorities[key] = item.request.priority
-            else:
-                priorities[key] = max(priorities[key], item.request.priority)
-            if item.deadline_at is not None:
-                # Deadline-aware early dispatch: leave an estimated solve's
-                # worth of headroom before the tightest deadline in the
-                # bucket, instead of idling out the full window.
-                target = max(now, item.deadline_at - self._batch_cost)
-                deadlines[key] = min(deadlines[key], target)
-            bucket.append(item)
-            if len(bucket) >= self.max_batch:
-                dispatch(key)
+            while unplaced:
+                bucket = pending.get(key)
+                if bucket is None:
+                    bucket = pending[key] = []
+                    deadlines[key] = now + self.effective_wait_seconds()
+                    priorities[key] = unplaced[0].request.priority
+                chunk = unplaced[: self.max_batch - len(bucket)]
+                bucket.extend(chunk)
+                unplaced = unplaced[len(chunk) :]
+                priorities[key] = max(
+                    priorities[key], max(item.request.priority for item in chunk)
+                )
+                for item in chunk:
+                    if item.deadline_at is not None:
+                        # Deadline-aware early dispatch: leave an estimated
+                        # solve's worth of headroom before the tightest
+                        # deadline in the bucket, instead of idling out the
+                        # full window.
+                        target = max(now, item.deadline_at - self._batch_cost)
+                        deadlines[key] = min(deadlines[key], target)
+                if len(bucket) >= self.max_batch:
+                    dispatch(key)
 
         try:
             while True:
@@ -618,11 +725,11 @@ class MicroBatchScheduler:
                 if deadlines:
                     timeout = max(0.0, min(deadlines.values()) - time.perf_counter())
                 try:
-                    item = self._queue.get(timeout=timeout)
+                    entry = self._queue.get(timeout=timeout)
                 except queue.Empty:
-                    item = None
-                if item is _STOP:
-                    # FIFO guarantees every accepted item precedes the stop
+                    entry = None
+                if entry is _STOP:
+                    # FIFO guarantees every accepted entry precedes the stop
                     # sentinel; drain whatever is left, then flush or cancel.
                     while True:
                         try:
@@ -638,8 +745,8 @@ class MicroBatchScheduler:
                         else:
                             dispatch(key)
                     return
-                if item is not None:
-                    add(item)
+                if entry is not None:
+                    add(entry)
                 now = time.perf_counter()
                 expired = [k for k, d in deadlines.items() if d <= now]
                 # Highest priority dispatches first when several buckets
@@ -647,24 +754,31 @@ class MicroBatchScheduler:
                 for key in sorted(expired, key=lambda k: -priorities[k]):
                     dispatch(key)
         except BaseException as exc:
-            self._on_batcher_crash(exc, pending)
+            self._on_batcher_crash(exc, pending, unplaced)
             raise
 
-    def _on_batcher_crash(self, exc: BaseException, pending: dict) -> None:
+    def _on_batcher_crash(
+        self, exc: BaseException, pending: dict, unplaced: list[_QueuedItem]
+    ) -> None:
         """Fail every queued and pending future; poison later submits.
 
         The supervisor path behind the hang-forever fix: the batcher dying
         used to strand whatever sat in the intake queue.  Flag order
-        matters — ``_crashed``/``_closed`` are set *before* draining so any
-        producer blocked in ``put`` gets queue space, completes, releases
-        the accept lock, and its item is caught by the locked second drain;
-        producers arriving later fail the ``_check_open`` gate instead.
+        matters — ``_crashed``/``_closed`` are set and the intake bound is
+        lifted *before* draining, so any producer blocked in ``put`` (even
+        part-way through a bulk submit) completes, releases the accept lock,
+        and its items are caught by the locked second drain; producers
+        arriving later fail the ``_check_open`` gate instead.
         """
         crash = SchedulerCrashed("the batcher thread crashed; the service is down")
         crash.__cause__ = exc
         self._crashed = crash
         self._closed = True
         self.telemetry.increment("scheduler_crashes")
+        # Nothing consumes the intake any more: without a bound, a producer
+        # blocked part-way through a bulk submit finishes instead of waiting
+        # forever for room while holding the accept lock.
+        self._queue.unbound()
 
         def drain_queue() -> None:
             while True:
@@ -673,12 +787,13 @@ class MicroBatchScheduler:
                 except queue.Empty:
                     return
                 if extra is not _STOP:
-                    self._fail(extra, crash)
+                    for item in extra:
+                        self._fail(item, crash)
 
         drain_queue()
         with self._accept_lock:
             drain_queue()
-        for items in pending.values():
+        for items in [unplaced, *pending.values()]:
             for item in items:
                 self._fail(item, crash)
         pending.clear()
@@ -758,7 +873,7 @@ class MicroBatchScheduler:
                 # fell at intake.
                 merged: dict[tuple, list[_QueuedItem]] = {}
                 for items in taken:
-                    merged.setdefault(items[0].request.batch_key(), []).extend(items)
+                    merged.setdefault(items[0].batch_key, []).extend(items)
                 ordered = sorted(
                     merged.values(),
                     key=lambda batch: -max(i.request.priority for i in batch),

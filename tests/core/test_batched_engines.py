@@ -24,6 +24,7 @@ from repro.core.lambda_selection import (
 from repro.core.problem import DeconvolutionProblem
 from repro.data.noise import GaussianMagnitudeNoise
 from repro.data.synthetic import single_pulse_profile
+from repro.numerics.qp import MixedLambdaEigPlan
 
 
 @pytest.fixture()
@@ -416,6 +417,33 @@ class TestSolveMixed:
             # the exact active-set optimum; this test checks routing.
             assert np.max(np.abs(mixed.x[column] - reference.x)) <= 1e-6
 
+    def test_plan_per_shift_survives_alternating_batches(
+        self, seeded_problem, species_matrix, monkeypatch
+    ):
+        """Batches at two lambda shifts keep one plan each instead of thrashing."""
+        shifts = []
+        original_init = MixedLambdaEigPlan.__init__
+
+        def counting_init(plan, gram, penalty, ridge, shift, **kwargs):
+            shifts.append(shift)
+            original_init(plan, gram, penalty, ridge, shift, **kwargs)
+
+        monkeypatch.setattr(MixedLambdaEigPlan, "__init__", counting_init)
+        fixed = [1e-3, 1e-2, 1e-3, 1e-2, 1e-3]  # shift 10^-2.5
+        selected = [1e-6, 1e-5, 1e-6, 1e-5, 1e-6]  # shift 10^-5.5
+        first = {}
+        for _ in range(3):
+            for name, lams in (("fixed", fixed), ("selected", selected)):
+                batch = seeded_problem.solve_mixed(lams, species_matrix)
+                first.setdefault(name, batch)
+                assert np.max(np.abs(batch.x - first[name].x)) <= 1e-12
+        assert shifts == pytest.approx([10.0**-2.5, 10.0**-5.5])
+        for name, lams in (("fixed", fixed), ("selected", selected)):
+            for column, lam in enumerate(lams):
+                sibling = seeded_problem.with_measurements(species_matrix[:, column])
+                reference = sibling.solve(lam)
+                assert np.max(np.abs(first[name].x[column] - reference.x)) <= 1e-10
+
     def test_shape_validation(self, seeded_problem, species_matrix):
         with pytest.raises(ValueError):
             seeded_problem.solve_mixed([1e-3, 1e-2], species_matrix)
@@ -453,3 +481,87 @@ class TestCrossLambdaFitMany:
             )
             assert result.lam == lam
             assert np.max(np.abs(result.coefficients - reference.coefficients)) <= 1e-10
+
+
+class TestBatchValidatedOnce:
+    """fit_many's batch engine checks the matrix once, then never per column."""
+
+    LAMS = [1e-3, 1e-2, 1e-3, 3e-2, 1e-2]
+
+    @pytest.fixture()
+    def deconvolver(self, small_kernel, paper_parameters):
+        return Deconvolver(small_kernel, parameters=paper_parameters, num_basis=12)
+
+    @pytest.fixture()
+    def no_solves(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a solve ran before the batch was validated")
+
+        for name in ("solve", "solve_batch", "solve_mixed"):
+            monkeypatch.setattr(DeconvolutionProblem, name, forbidden)
+        monkeypatch.setattr(
+            "repro.core.deconvolver.generalized_cross_validation_batch", forbidden
+        )
+
+    @pytest.mark.parametrize("lam", [1e-3, LAMS, None], ids=["single", "mixed", "gcv"])
+    def test_nan_column_rejected_before_any_solve(
+        self, deconvolver, species_matrix, lam, no_solves
+    ):
+        bad = species_matrix.copy()
+        bad[2, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            deconvolver.fit_many(deconvolver.kernel.times, bad, lam=lam)
+
+    def test_wrong_row_count_rejected_before_any_solve(
+        self, deconvolver, species_matrix, no_solves
+    ):
+        with pytest.raises(ValueError, match="length does not match"):
+            deconvolver.fit_many(
+                deconvolver.kernel.times, species_matrix[:-1], lam=self.LAMS
+            )
+
+    @pytest.mark.parametrize(
+        "lam, columns, cross_lambda",
+        [
+            (LAMS, slice(None), None),  # one stacked mixed-lambda solve_mixed
+            (1e-2, slice(None), None),  # one per-lambda solve_batch
+            (LAMS, slice(None), False),  # per-group sweep; the 3e-2 group is a singleton
+            (1e-2, slice(0, 1), None),  # a one-column batch: the singleton solve
+            (None, slice(None), None),  # batched GCV selection, then solve_batch
+        ],
+        ids=["mixed", "single", "per-group", "singleton", "gcv"],
+    )
+    def test_batch_paths_match_serial_engine(
+        self, deconvolver, species_matrix, lam, columns, cross_lambda
+    ):
+        matrix = species_matrix[:, columns]
+        if isinstance(lam, list):
+            lam = lam[columns]
+        times = deconvolver.kernel.times
+        batch = deconvolver.fit_many(times, matrix, lam=lam, cross_lambda=cross_lambda)
+        serial = deconvolver.fit_many(
+            times, matrix, lam=lam, engine="serial", warm_start_chain=False
+        )
+        assert len(batch) == matrix.shape[1]
+        for column, (a, b) in enumerate(zip(batch, serial)):
+            assert a.lam == b.lam
+            assert np.max(np.abs(a.coefficients - b.coefficients)) <= 1e-10
+            assert a.data_misfit == pytest.approx(b.data_misfit, rel=1e-9, abs=1e-12)
+            assert a.lambda_path == b.lambda_path
+            np.testing.assert_array_equal(a.measurements, matrix[:, column])
+            np.testing.assert_array_equal(a.times, times)
+
+    def test_results_own_their_arrays(self, deconvolver, species_matrix):
+        times = deconvolver.kernel.times.copy()
+        matrix = species_matrix.copy()
+        results = deconvolver.fit_many(times, matrix, lam=self.LAMS)
+        results[0].measurements[:] = -1.0
+        results[0].times[:] = -1.0
+        for column, result in enumerate(results[1:], start=1):
+            np.testing.assert_array_equal(result.measurements, species_matrix[:, column])
+            np.testing.assert_array_equal(result.times, times)
+        # Neither the caller's inputs nor the first fit's backing problem moved.
+        np.testing.assert_array_equal(matrix, species_matrix)
+        np.testing.assert_array_equal(deconvolver.kernel.times, times)
+        reference = deconvolver.fit(times, species_matrix[:, 0], lam=self.LAMS[0])
+        assert results[0].data_misfit == pytest.approx(reference.data_misfit, rel=1e-9)

@@ -7,6 +7,7 @@ the scheduler's solve path is covered by ``test_scenarios.py``.
 
 import queue
 
+import numpy as np
 import pytest
 
 from repro.service import (
@@ -118,6 +119,22 @@ class TestAdaptiveWindow:
         for _ in range(10):
             window.observe(0.0005)
         assert window.current() == pytest.approx(0.00025, rel=1e-6)
+
+    def test_p95_equals_numpy_percentile_exactly(self):
+        """The pure-Python p95 over the reservoir is np.percentile, bit for bit."""
+        rng = np.random.default_rng(7)
+        for trial in range(200):
+            window = AdaptiveWindow(1e9, fraction=1.0, max_samples=64)
+            count = int(rng.integers(1, 130))
+            if trial % 3 == 0:
+                samples = rng.lognormal(-7.0, 1.5, count)
+            elif trial % 3 == 1:
+                samples = rng.random(count)
+            else:  # ties exercise equal interpolation neighbours
+                samples = rng.integers(0, 4, count) * 1e-3
+            for value in samples:
+                window.observe(float(value))
+            assert window.current() == float(np.percentile(samples[-64:], 95.0))
 
     def test_floor_clamps_from_below(self):
         window = AdaptiveWindow(0.002, fraction=0.5, floor_seconds=0.001)

@@ -10,6 +10,7 @@ deterministic workload scenarios that drive all of it in
 """
 
 import concurrent.futures
+import dataclasses
 import queue
 import threading
 import time
@@ -416,6 +417,45 @@ class TestSupervisor:
         finally:
             scheduler.max_batch = 4
             scheduler.shutdown()  # must not hang after the crash
+
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_crash_releases_a_bulk_producer_blocked_mid_list(self, factory, workload):
+        pool = SessionPool(factory)
+        scheduler = MicroBatchScheduler(
+            pool, max_batch=1, max_queue=2, max_wait_ms=60_000.0
+        )
+        bulk = [
+            dataclasses.replace(
+                workload[1], measurements=workload[1].measurements * (1.0 + 0.1 * k)
+            )
+            for k in range(8)
+        ]
+        futures = []
+        scheduler._shard_lock.acquire()  # stalls the batcher in its first dispatch
+        try:
+            scheduler.submit(workload[0])
+            deadline = time.perf_counter() + 5.0
+            while scheduler.queue_depth() > 0 and time.perf_counter() < deadline:
+                time.sleep(0.001)
+            producer = threading.Thread(
+                target=lambda: futures.extend(scheduler.submit_many(bulk))
+            )
+            producer.start()  # two requests fit, then it blocks for room
+            while scheduler.queue_depth() < 2 and time.perf_counter() < deadline:
+                time.sleep(0.001)
+            scheduler.max_batch = "boom"  # the next intake entry crashes the batcher
+        finally:
+            scheduler._shard_lock.release()
+        # Draining the two queued requests must not just let the producer
+        # refill the intake and block again while it holds the accept lock.
+        producer.join(timeout=10.0)
+        assert not producer.is_alive()
+        assert len(futures) == len(bulk)
+        for future in futures:
+            with pytest.raises(SchedulerCrashed):
+                future.result(timeout=10)
+        scheduler.max_batch = 1
+        scheduler.shutdown()
 
     def test_submit_many_overflow_reports_the_split(self, factory, workload):
         pool = SessionPool(factory)

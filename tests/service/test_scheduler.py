@@ -8,6 +8,7 @@ concurrent producers, coalescing, dedup, cache hits and drain.
 
 import dataclasses
 import queue
+import sys
 import threading
 import time
 
@@ -18,6 +19,7 @@ from repro.core.deconvolver import Deconvolver
 from repro.data.synthetic import single_pulse_profile
 from repro.service import (
     FitRequest,
+    IntakeOverflow,
     MicroBatchScheduler,
     ResultCache,
     SessionPool,
@@ -245,6 +247,101 @@ class TestLifecycle:
             scheduler._shard_lock.release()
         scheduler.shutdown(drain=True)
         assert all(future.done() and not future.cancelled() for future in futures)
+
+    def test_intake_bound_counts_requests_not_entries(self, factory, workload):
+        pool = SessionPool(factory)
+        scheduler = MicroBatchScheduler(pool, max_batch=1, max_queue=3, max_wait_ms=60_000.0)
+        # Five requests sharing one batch key travel as one intake entry,
+        # but only three fit under a three-request bound.
+        group = [
+            dataclasses.replace(
+                workload[1], measurements=workload[1].measurements * (1.0 + 0.1 * k)
+            )
+            for k in range(5)
+        ]
+        assert len({request.batch_key() for request in group}) == 1
+        scheduler._shard_lock.acquire()  # stalls the batcher in its first dispatch
+        try:
+            first = scheduler.submit(workload[0])
+            deadline = time.perf_counter() + 5.0
+            while scheduler.queue_depth() > 0 and time.perf_counter() < deadline:
+                time.sleep(0.001)
+            with pytest.raises(IntakeOverflow) as info:
+                scheduler.submit_many(group, timeout=0.05)
+            assert len(info.value.accepted) == 3
+            assert [id(request) for request in info.value.rejected] == [
+                id(request) for request in group[3:]
+            ]
+            assert scheduler.queue_depth() == 3
+            assert scheduler.outstanding() == 4
+        finally:
+            scheduler._shard_lock.release()
+        scheduler.shutdown(drain=True)
+        assert first.result(timeout=30) is not None
+        for future in info.value.accepted:
+            assert future.result(timeout=30) is not None
+        assert scheduler.queue_depth() == 0
+        assert scheduler.outstanding() == 0
+
+    def test_grouped_intake_under_contention(self, factory, workload):
+        """Producers racing partial group puts never lose or overcount a request."""
+        pool = SessionPool(factory)
+        scheduler = MicroBatchScheduler(
+            pool, max_batch=4, max_queue=5, max_wait_ms=0.5, cache=ResultCache(0)
+        )
+        futures = [None] * len(workload)
+        depths = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+
+            def produce(offset):
+                indices = list(range(offset, len(workload), 3))
+                for index, future in zip(
+                    indices, scheduler.submit_many([workload[i] for i in indices])
+                ):
+                    futures[index] = future
+                    depths.append(scheduler.queue_depth())
+
+            threads = [
+                threading.Thread(target=produce, args=(offset,)) for offset in range(3)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(switch)
+            scheduler.shutdown()
+        assert max(depths) <= 5
+        assert scheduler.outstanding() == 0 and scheduler.queue_depth() == 0
+        references = serial_reference(factory("reference"), workload)
+        assert max_coefficient_gap(results, references) <= 1e-10
+        assert [r.lam for r in results] == [r.lam for r in references]
+
+    def test_submit_many_enqueues_one_entry_per_batch_key(self, factory, workload):
+        pool = SessionPool(factory)
+        scheduler = MicroBatchScheduler(pool, max_batch=8, max_wait_ms=0.5)
+        entries = []
+        put = scheduler._queue.put
+
+        def recording_put(items, timeout=None):
+            entries.append([item.batch_key for item in items])
+            return put(items, timeout)
+
+        scheduler._queue.put = recording_put
+        try:
+            results = scheduler.map(workload)
+        finally:
+            scheduler.shutdown()
+        assert len(entries) == len({request.batch_key() for request in workload})
+        assert all(len(set(keys)) == 1 for keys in entries)
+        assert sum(len(keys) for keys in entries) == len(workload)
+        references = serial_reference(factory("reference"), workload)
+        assert max_coefficient_gap(results, references) <= 1e-10
+        assert [r.lam for r in results] == [r.lam for r in references]
 
     def test_solver_errors_propagate_to_futures(self, factory, kernels):
         pool = SessionPool(factory)
