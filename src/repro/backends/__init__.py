@@ -1,306 +1,51 @@
-"""Pluggable compiled-kernel backend dispatch.
+"""Kernel-backend function table, chosen once at import.
 
-The hot inner loops of the package (fused Horner volume pass, uniform
-binning, kernel-row smoothing, constraint-quadrature reductions, batch-solve
-packaging) live behind a :class:`~repro.backends.base.KernelBackend` object.
-Two implementations are registered:
-
-* ``numpy`` — the vectorised reference (always available, the default);
-  byte-identical to the pre-dispatch tree.
-* ``numba`` — ``@njit(cache=True)`` loop nests (optional ``[compiled]``
-  install extra); matches the reference to machine precision, enforced by
-  equivalence tests and the two-backend CI matrix.
-
-Selection precedence (lowest to highest):
-
-1. :data:`repro.config.DEFAULT_BACKEND` (``"numpy"``);
-2. the ``REPRO_BACKEND`` environment variable, read once at import;
-3. a process-wide :func:`set_active_backend` / :func:`use_backend` override
-   (the CLI's ``--backend`` flag calls the former);
-4. a per-call ``backend=`` argument on the dispatching entry points
-   (``KernelBuilder``, ``build_constraint_set``,
-   ``QPWorkspace.solve_batch(kernel_backend=...)``), resolved through
-   :func:`resolve`.
-
-Requesting a *registered but unavailable* backend (e.g. ``numba`` without
-the extra installed) logs one ``repro.backends`` warning per process and
-falls back to the numpy reference, so numpy-only installs keep working with
-zero behaviour change.  Requesting an *unknown* name raises ``ValueError``.
+:mod:`~repro.backends.numpy_backend` (the vectorised reference, the default)
+and :mod:`~repro.backends.numba_backend` (``@njit`` loop nests, optional
+``[compiled]`` extra) define the same seven hot-loop kernels plus ``name``.
+``REPRO_BACKEND`` is read once, here, and is the only selection: ``numba``
+without numba installed, or an unknown name, logs one ``repro.backends``
+warning and selects numpy.  Call sites use
+``backends.active_backend().<kernel>(...)``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import os
-import threading
-from typing import Callable, Iterator, Optional, Union
+from types import ModuleType
 
 from repro import config
-from repro.backends.base import KernelBackend
+from repro.backends import numpy_backend
 
-__all__ = [
-    "KernelBackend",
-    "BackendSpec",
-    "register_backend",
-    "registered_backends",
-    "available_backends",
-    "backend_table",
-    "get_backend",
-    "resolve",
-    "active_backend",
-    "requested_backend",
-    "set_active_backend",
-    "use_backend",
-    "clear_backend_cache",
-]
-
-#: Accepted by :func:`resolve`: a registry name, an instance, or ``None``
-#: (meaning "the active backend").
-BackendSpec = Union[str, KernelBackend, None]
+__all__ = ["active_backend", "requested_backend"]
 
 _logger = logging.getLogger("repro.backends")
 
-_REGISTRY: dict[str, dict] = {}
-_INSTANCES: dict[str, KernelBackend] = {}
-_LOAD_ERRORS: dict[str, str] = {}
-_FALLBACK_LOGGED: set[str] = set()
-_LOCK = threading.Lock()
+_requested: str = os.environ.get(config.BACKEND_ENV_VAR, "numpy")
+_active: ModuleType = numpy_backend
+if _requested == "numba":
+    try:
+        from repro.backends import numba_backend
 
-_requested: str = ""
-_active: Optional[KernelBackend] = None
-
-
-def register_backend(
-    name: str,
-    loader: Callable[[], KernelBackend],
-    *,
-    compiled: bool = False,
-    description: str = "",
-) -> None:
-    """Register a backend under ``name``.
-
-    Parameters
-    ----------
-    name:
-        Registry key (also the value accepted by ``REPRO_BACKEND`` and every
-        ``backend=`` argument).
-    loader:
-        Zero-argument callable returning the backend instance.  It may raise
-        ``ImportError`` when an optional dependency is missing; the dispatch
-        layer treats such backends as unavailable and falls back to the
-        reference.
-    compiled:
-        Whether the backend compiles its kernels (shown by ``repro
-        backends``).
-    description:
-        One-line summary for the registry listing.
-    """
-    _REGISTRY[str(name)] = {
-        "loader": loader,
-        "compiled": bool(compiled),
-        "description": str(description),
-    }
-
-
-def registered_backends() -> tuple[str, ...]:
-    """Names of all registered backends, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def _load(name: str) -> Optional[KernelBackend]:
-    """Instantiate (and memoise) backend ``name``; ``None`` when unavailable."""
-    with _LOCK:
-        instance = _INSTANCES.get(name)
-        if instance is not None:
-            return instance
-        if name in _LOAD_ERRORS:
-            return None
-        try:
-            instance = _REGISTRY[name]["loader"]()
-        except ImportError as error:
-            _LOAD_ERRORS[name] = str(error)
-            return None
-        _INSTANCES[name] = instance
-        return instance
-
-
-def available_backends() -> dict[str, bool]:
-    """Importability of every registered backend (``name -> available``)."""
-    return {name: _load(name) is not None for name in registered_backends()}
-
-
-def backend_table() -> list[dict]:
-    """Registry listing for the ``repro backends`` CLI subcommand.
-
-    One dictionary per registered backend: ``name``, ``compiled``,
-    ``available``, ``active`` (whether it is the process-wide selection),
-    ``description`` and, for unavailable backends, the load ``error``.
-    """
-    active_name = active_backend().name
-    rows = []
-    for name in registered_backends():
-        entry = _REGISTRY[name]
-        available = _load(name) is not None
-        rows.append(
-            {
-                "name": name,
-                "compiled": entry["compiled"],
-                "available": available,
-                "active": name == active_name and available,
-                "description": entry["description"],
-                "error": _LOAD_ERRORS.get(name, ""),
-            }
-        )
-    return rows
-
-
-def get_backend(name: str, *, fallback: bool = True) -> KernelBackend:
-    """Backend instance for a registry ``name``.
-
-    Parameters
-    ----------
-    name:
-        Registered backend name.  Unknown names raise ``ValueError`` listing
-        the registered ones.
-    fallback:
-        When the named backend is registered but unavailable (optional
-        dependency missing): fall back to the numpy reference with a
-        once-per-process log line (``True``, the default), or raise
-        ``ImportError`` (``False``).
-    """
-    name = str(name)
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; registered backends: "
-            f"{', '.join(registered_backends())}"
-        )
-    instance = _load(name)
-    if instance is not None:
-        return instance
-    if not fallback:
-        raise ImportError(
-            f"kernel backend {name!r} is unavailable: {_LOAD_ERRORS.get(name, 'import failed')}"
-        )
-    if name not in _FALLBACK_LOGGED:
-        _FALLBACK_LOGGED.add(name)
+        _active = numba_backend
+    except ImportError as error:
         _logger.warning(
-            "kernel backend %r is unavailable (%s); falling back to the "
-            "'numpy' reference backend (install the [compiled] extra for "
-            "compiled kernels)",
-            name,
-            _LOAD_ERRORS.get(name, "import failed"),
+            "%s='numba' but numba is unavailable (%s); using 'numpy' "
+            "(install the [compiled] extra)", config.BACKEND_ENV_VAR, error,
         )
-    reference = _load("numpy")
-    assert reference is not None, "the numpy reference backend must always load"
-    return reference
+elif _requested != "numpy":
+    _logger.warning(
+        "%s=%r does not name a kernel backend (numpy, numba); using 'numpy'",
+        config.BACKEND_ENV_VAR, _requested,
+    )
 
 
 def requested_backend() -> str:
-    """Backend name selected at import time (env var over config default)."""
+    """Backend name requested at import (``REPRO_BACKEND``, default ``numpy``)."""
     return _requested
 
 
-def active_backend() -> KernelBackend:
-    """The process-wide backend instance every dispatch site defaults to."""
-    global _active
-    if _active is None:
-        _active = get_backend(_requested)
+def active_backend() -> ModuleType:
+    """The selected backend module; its ``name`` is ``numpy`` or ``numba``."""
     return _active
-
-
-def set_active_backend(name: str) -> KernelBackend:
-    """Select the process-wide backend; returns the resolved instance.
-
-    Unavailable compiled backends resolve to the numpy reference (with the
-    once-per-process fallback log line), mirroring import-time selection.
-    """
-    global _active
-    _active = get_backend(name)
-    return _active
-
-
-@contextlib.contextmanager
-def use_backend(name: str) -> Iterator[KernelBackend]:
-    """Context manager scoping a process-wide backend selection.
-
-    The override is process-global (not thread-local): intended for tests,
-    benchmarks and CLI paths, not for scoping individual requests inside the
-    multi-threaded service runtime — there, pass ``backend=`` per call.
-    """
-    global _active
-    previous = _active
-    _active = get_backend(name)
-    try:
-        yield _active
-    finally:
-        _active = previous
-
-
-def resolve(backend: BackendSpec = None) -> KernelBackend:
-    """Resolve a per-call ``backend=`` argument to an instance.
-
-    ``None`` means the active process-wide backend; a string is looked up in
-    the registry (with the unavailable-backend fallback); an instance passes
-    through unchanged.
-    """
-    if backend is None:
-        return active_backend()
-    if isinstance(backend, KernelBackend):
-        return backend
-    return get_backend(backend)
-
-
-def clear_backend_cache() -> None:
-    """Drop memoised instances, load errors and the active selection.
-
-    Test hook: the next :func:`active_backend` call re-resolves the
-    import-time request, and availability probes re-run their imports (so an
-    import hook installed by a test is actually exercised).  The
-    once-per-process fallback-log guard is cleared too.
-    """
-    global _active
-    with _LOCK:
-        _INSTANCES.clear()
-        _LOAD_ERRORS.clear()
-    _FALLBACK_LOGGED.clear()
-    _active = None
-
-
-def _load_numpy() -> KernelBackend:
-    """Loader for the always-available numpy reference backend."""
-    from repro.backends.numpy_backend import NumpyBackend
-
-    return NumpyBackend()
-
-
-def _load_numba() -> KernelBackend:
-    """Loader for the optional Numba-compiled backend."""
-    from repro.backends.numba_backend import NumbaBackend
-
-    return NumbaBackend()
-
-
-register_backend(
-    "numpy",
-    _load_numpy,
-    compiled=False,
-    description="vectorised numpy reference (always available, the default)",
-)
-register_backend(
-    "numba",
-    _load_numba,
-    compiled=True,
-    description="@njit(cache=True) loop nests (optional [compiled] extra)",
-)
-
-_requested = os.environ.get(config.BACKEND_ENV_VAR, config.DEFAULT_BACKEND)
-if _requested not in _REGISTRY:
-    _logger.warning(
-        "%s=%r does not name a registered kernel backend (%s); using %r",
-        config.BACKEND_ENV_VAR,
-        _requested,
-        ", ".join(registered_backends()),
-        config.DEFAULT_BACKEND,
-    )
-    _requested = config.DEFAULT_BACKEND

@@ -1,8 +1,8 @@
 """Numba-compiled implementations of the hot-path kernels.
 
 Importing this module requires the optional ``numba`` dependency (install
-the package with the ``[compiled]`` extra); the dispatch layer catches the
-``ImportError`` and falls back to the numpy reference, so a plain install
+the package with the ``[compiled]`` extra); ``repro.backends`` catches the
+``ImportError`` and selects the numpy reference, so a plain install
 never pays for — or breaks on — the compiled path.
 
 Every kernel is an ``@njit(cache=True)`` loop nest performing *the same
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 from numba import njit
 
-from repro.backends.base import KernelBackend
+name = "numba"
 
 
 @njit(cache=True)
@@ -137,64 +137,33 @@ def _batch_objectives(solutions, hessian, gradients):
     return out
 
 
-class NumbaBackend(KernelBackend):
-    """JIT-compiled loop-nest backend (optional ``[compiled]`` extra)."""
+def smooth_volume_into(phi, transition, cell_indices, late_base, linear, quad, cubic, v0, out):
+    """Single fused Horner loop over the pairs."""
+    return _smooth_volume_into(
+        phi, transition, cell_indices, late_base, linear, quad, cubic, float(v0), out
+    )
 
-    name = "numba"
-    compiled = True
 
-    def smooth_volume_into(
-        self,
-        phi: np.ndarray,
-        transition: np.ndarray,
-        cell_indices: np.ndarray,
-        late_base: np.ndarray,
-        linear: np.ndarray,
-        quad: np.ndarray,
-        cubic: np.ndarray,
-        v0: float,
-        out: np.ndarray,
-    ) -> np.ndarray:
-        """Single fused Horner loop over the pairs (see base class)."""
-        return _smooth_volume_into(
-            phi, transition, cell_indices, late_base, linear, quad, cubic, float(v0), out
-        )
+def weighted_bincount(keys, weights, minlength):
+    """Single accumulation loop in key-occurrence order."""
+    return _weighted_bincount(keys, weights, int(minlength))
 
-    def uniform_bin_indices(self, values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-        """Per-value index arithmetic with the boundary fix-up (see base class)."""
-        return _uniform_bin_indices(values, edges)
 
-    def weighted_bincount(
-        self, keys: np.ndarray, weights: np.ndarray, minlength: int
-    ) -> np.ndarray:
-        """Single accumulation loop in key-occurrence order (see base class)."""
-        return _weighted_bincount(keys, weights, int(minlength))
+def smooth_rows(rows, widths, window):
+    """Per-row sliding-sum smoothing without the padded copies."""
+    return _smooth_rows(rows, widths, int(window))
 
-    def smooth_rows(
-        self, rows: np.ndarray, widths: np.ndarray, window: int
-    ) -> np.ndarray:
-        """Per-row sliding-sum smoothing without the padded copies (see base class)."""
-        return _smooth_rows(rows, widths, int(window))
 
-    def weighted_dot(
-        self, weights: np.ndarray, density: np.ndarray, matrix: np.ndarray
-    ) -> np.ndarray:
-        """Row-major reduction skipping masked-out (zero) grid points."""
-        return _weighted_dot(weights, density, np.ascontiguousarray(matrix))
+def weighted_dot(weights, density, matrix):
+    """Row-major reduction skipping masked-out (zero) grid points."""
+    return _weighted_dot(weights, density, np.ascontiguousarray(matrix))
 
-    def partition_accepted(
-        self,
-        solutions: np.ndarray,
-        rows: np.ndarray,
-        candidates: np.ndarray,
-        accepted: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Compiled scatter of the accepted candidate rows (see base class)."""
-        _scatter_accepted(solutions, rows, candidates, accepted)
-        return rows[accepted], rows[~accepted]
 
-    def batch_objectives(
-        self, solutions: np.ndarray, hessian: np.ndarray, gradients: np.ndarray
-    ) -> np.ndarray:
-        """Fused per-row quadratic/linear reduction (see base class)."""
-        return _batch_objectives(solutions, hessian, gradients)
+def partition_accepted(solutions, rows, candidates, accepted):
+    """Compiled scatter of the accepted candidate rows."""
+    _scatter_accepted(solutions, rows, candidates, accepted)
+    return rows[accepted], rows[~accepted]
+
+
+uniform_bin_indices = _uniform_bin_indices
+batch_objectives = _batch_objectives

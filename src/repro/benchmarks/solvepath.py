@@ -158,9 +158,7 @@ PR5_BASELINE_SECONDS = {
 # machine): the values of PR 6's committed BENCH_solvepath.json.  They
 # anchor the ``speedup_vs_pr6`` column — what the pluggable kernel-backend
 # layer bought.  Under the numpy reference (the default) the dispatch must
-# cost ~nothing, so this column doubles as the dispatch-overhead guard;
-# under the ``[compiled]`` extra the ``*_compiled`` stages carry the JIT
-# win (those stages are new in this PR and have no PR 6 anchor).
+# cost ~nothing, so this column doubles as the dispatch-overhead guard.
 PR6_BASELINE_SECONDS = {
     "qp_solve": 4.749e-5,
     "qp_solve_warm": 2.515e-5,
@@ -192,12 +190,10 @@ PR8_BASELINE_SECONDS = {
     "qp_solve_batch": 2.368e-4,
     "problem_assembly_cold": 3.270e-3,
     "problem_assembly_warm": 5.044e-4,
-    "problem_assembly_compiled": 2.771e-3,
     "lambda_gcv": 2.696e-4,
     "lambda_kfold": 1.482e-3,
     "bootstrap": 2.309e-3,
     "kernel_build": 5.239e-3,
-    "kernel_build_compiled": 5.367e-3,
     "fit_many_gcv": 2.662e-3,
     "fit_many_kfold": 1.672e-2,
     "session_multi_grid": 2.130e-3,
@@ -270,15 +266,6 @@ def run_solvepath_benchmark(
 
     * ``kernel_build`` -- batched ``build_from_history`` on a shared
       population history (memoised pair expansion, Horner volume pass).
-    * ``kernel_build_compiled`` -- the same kernel build re-timed under the
-      ``numba`` kernel backend (one untimed warm-up call pays the JIT).
-      When the ``[compiled]`` extra is not installed this runs on the numpy
-      reference via the documented fallback; the report's ``backend``
-      section records which backend actually executed.
-    * ``problem_assembly_compiled`` -- the cold assembly stage (memos
-      cleared each repeat) under the ``numba`` backend: the constraint
-      quadrature reductions run through the compiled kernels.  Same
-      fallback rule as ``kernel_build_compiled``.
     * ``problem_assembly_cold`` -- fresh problem assembly (design, penalty,
       constraint rows) plus one solve with the module-level assembly memos
       cleared first: the genuinely cold path, whose remaining win is the
@@ -391,23 +378,6 @@ def run_solvepath_benchmark(
         fresh_problem().solve(lam, backend="active_set")
 
     stages["problem_assembly_cold"] = _time(cold_assembly, repeats)
-
-    # Compiled-backend variants of the two hottest build stages: the same
-    # bodies re-timed under the ``numba`` backend (which resolves to the
-    # numpy reference, with a logged warning, when the [compiled] extra is
-    # not installed).  One untimed warm-up call per stage pays the JIT
-    # compilation — cached across processes when NUMBA_CACHE_DIR is set.
-    with kernel_backends.use_backend("numba") as compiled_backend:
-        compiled_stage_backend = compiled_backend.name
-        builder.build_from_history(history, times, simulator)
-        stages["kernel_build_compiled"] = _time(
-            lambda: builder.build_from_history(history, times, simulator), repeats
-        )
-        cold_assembly()
-        stages["problem_assembly_compiled"] = _time(cold_assembly, repeats)
-    # Drop the memos the compiled passes populated so the warm stages below
-    # re-warm them under the active (default) backend.
-    clear_assembly_caches()
 
     fresh_problem()  # warm the module-level assembly memos
     stages["problem_assembly_warm"] = _time(
@@ -666,8 +636,6 @@ def run_solvepath_benchmark(
     backend_report = {
         "active": kernel_backends.active_backend().name,
         "requested": kernel_backends.requested_backend(),
-        "compiled_stages_backend": compiled_stage_backend,
-        "available": kernel_backends.available_backends(),
     }
 
     return {
@@ -708,21 +676,15 @@ def format_report(report: dict) -> str:
     """Human-readable per-stage summary of a report.
 
     Each stage line carries a backend column: the kernel backend the stage
-    actually executed on (``*_compiled`` stages run on the report's
-    ``compiled_stages_backend`` — the numpy reference when the ``[compiled]``
-    extra is absent — everything else on the active backend).
+    executed on (the report's active backend).
     """
     lines = [f"solvepath benchmark ({report['config']})"]
     backend = report.get("backend") or {}
     active_name = backend.get("active", "numpy")
-    compiled_name = backend.get("compiled_stages_backend", active_name)
     if backend:
-        available = ", ".join(
-            sorted(name for name, ok in backend.get("available", {}).items() if ok)
-        )
         lines.append(
-            f"  backend: active {active_name!r}, compiled stages on "
-            f"{compiled_name!r} (available: {available})"
+            f"  backend: active {active_name!r}, "
+            f"requested {backend.get('requested', active_name)!r}"
         )
     seed_speedups = report.get("speedup_vs_seed") or {}
     pr1_speedups = report.get("speedup_vs_pr1") or {}
@@ -733,8 +695,7 @@ def format_report(report: dict) -> str:
     pr6_speedups = report.get("speedup_vs_pr6") or {}
     pr8_speedups = report.get("speedup_vs_pr8") or {}
     for stage, seconds in sorted(report["stages_seconds"].items()):
-        ran_on = compiled_name if stage.endswith("_compiled") else active_name
-        line = f"  {stage:26s} {seconds * 1e3:10.3f} ms  [{ran_on}]"
+        line = f"  {stage:26s} {seconds * 1e3:10.3f} ms  [{active_name}]"
         if stage in seed_speedups:
             line += f"   ({seed_speedups[stage]:.1f}x vs seed)"
         if stage in pr1_speedups:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro import config
+from repro import backends, config
 from repro.cellcycle.parameters import CellCycleParameters
 from repro.cellcycle.phase import InitialCondition
 from repro.cellcycle.population import PopulationHistory, PopulationSimulator
@@ -158,22 +158,6 @@ class VolumeKernel:
         )
 
 
-def _uniform_bin_indices(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Bin index of each value in a uniform-edge grid.
-
-    Matches ``searchsorted(edges, values, "right") - 1`` clipped to the valid
-    range (i.e. left-closed bins with the last bin right-closed, as in
-    ``np.histogram``) but uses direct index arithmetic with a +/-1 boundary
-    fix-up, which is considerably faster than a binary search per value.
-    Dispatches to the active kernel backend (``repro.backends``); the numpy
-    reference implementation lives in
-    :meth:`repro.backends.numpy_backend.NumpyBackend.uniform_bin_indices`.
-    """
-    from repro import backends
-
-    return backends.active_backend().uniform_bin_indices(values, edges)
-
-
 class KernelBuilder:
     """Builds :class:`VolumeKernel` objects by population simulation.
 
@@ -193,11 +177,6 @@ class KernelBuilder:
     smoothing_window:
         Odd width (in bins) of a moving-average smoother applied to each
         kernel row to damp Monte-Carlo noise; ``1`` disables smoothing.
-    backend:
-        Kernel backend for the binning/volume/smoothing inner loops (a
-        ``repro.backends`` registry name or instance); ``None`` uses the
-        process-wide active backend.  Overridable per call on
-        :meth:`build` / :meth:`build_from_history`.
     """
 
     def __init__(
@@ -209,7 +188,6 @@ class KernelBuilder:
         num_cells: int = config.DEFAULT_POPULATION_SIZE,
         phase_bins: int = config.DEFAULT_PHASE_BINS,
         smoothing_window: int = 3,
-        backend: str | None = None,
     ) -> None:
         self.parameters = parameters if parameters is not None else CellCycleParameters()
         self.volume_model = volume_model if volume_model is not None else SmoothVolumeModel()
@@ -217,7 +195,6 @@ class KernelBuilder:
         self.num_cells = int(num_cells)
         self.phase_bins = int(phase_bins)
         self.smoothing_window = int(smoothing_window)
-        self.backend = backend
         if self.num_cells < 1:
             raise ValueError("num_cells must be >= 1")
         if self.phase_bins < 2:
@@ -232,9 +209,7 @@ class KernelBuilder:
         )
         return simulator.run(self.num_cells, t_end, rng)
 
-    def build(
-        self, times: np.ndarray, rng: SeedLike = None, *, backend: str | None = None
-    ) -> VolumeKernel:
+    def build(self, times: np.ndarray, rng: SeedLike = None) -> VolumeKernel:
         """Estimate the kernel at the given measurement ``times``."""
         times = ensure_1d(times, "times")
         if np.any(times < 0):
@@ -245,15 +220,13 @@ class KernelBuilder:
             self.parameters, self.volume_model, self.initial_condition
         )
         history = simulator.run(self.num_cells, horizon, generator)
-        return self.build_from_history(history, times, simulator, backend=backend)
+        return self.build_from_history(history, times, simulator)
 
     def build_from_history(
         self,
         history: PopulationHistory,
         times: np.ndarray,
         simulator: PopulationSimulator | None = None,
-        *,
-        backend: str | None = None,
     ) -> VolumeKernel:
         """Estimate the kernel from an existing population history.
 
@@ -268,15 +241,10 @@ class KernelBuilder:
         (:meth:`~repro.cellcycle.volume.VolumeModel.volume_for_cells_into`),
         and the bin indices are turned into flat (time, bin) keys in place —
         no intermediate volume array, no separate Horner and binning stages.
-        The binning, volume and smoothing inner loops run on the selected
-        kernel backend (per-call ``backend=``, else the builder's, else the
-        process-wide active one — see ``repro.backends``).
+        The binning, volume and smoothing inner loops run on the active
+        kernel backend (``repro.backends``).
         """
-        from repro import backends
-
-        kernel_backend = backends.resolve(
-            backend if backend is not None else self.backend
-        )
+        kernel_backend = backends.active_backend()
         times = ensure_1d(times, "times")
         if np.any(times < 0):
             raise ValueError(f"time must be non-negative, got {float(times.min())}")
@@ -309,7 +277,6 @@ class KernelBuilder:
             history.transition_phases,
             cell_idx,
             np.empty(phases.shape),
-            backend=kernel_backend,
         )
         histograms = kernel_backend.weighted_bincount(
             keys, weights, num_times * num_bins
@@ -321,15 +288,13 @@ class KernelBuilder:
 
         density = np.zeros((num_times, num_bins))
         counts = np.zeros(num_times, dtype=int)
-        density[order] = self._smooth_rows(rows, widths, backend=kernel_backend)
+        density[order] = self._smooth_rows(rows, widths)
         counts[order] = counts_sorted
         return VolumeKernel(
             times=times.copy(), phase_edges=edges, density=density, num_cells=counts
         )
 
-    def _smooth_rows(
-        self, rows: np.ndarray, widths: np.ndarray, *, backend=None
-    ) -> np.ndarray:
+    def _smooth_rows(self, rows: np.ndarray, widths: np.ndarray) -> np.ndarray:
         """Moving-average smoothing of all kernel rows in one vectorized pass.
 
         Equivalent to applying :meth:`_smooth_row` per row (up to float
@@ -337,15 +302,11 @@ class KernelBuilder:
         via a cumulative sum, then per-row renormalisation to preserve each
         row's integral.  Rows whose smoothed integral degenerates to zero are
         kept unsmoothed, matching the per-row guard.  The pass runs on the
-        selected kernel backend (``repro.backends``).
+        active kernel backend (``repro.backends``).
         """
         if self.smoothing_window == 1:
             return rows
-        from repro import backends
-
-        return backends.resolve(
-            backend if backend is not None else self.backend
-        ).smooth_rows(rows, widths, self.smoothing_window)
+        return backends.active_backend().smooth_rows(rows, widths, self.smoothing_window)
 
     def _smooth_row(self, row: np.ndarray, widths: np.ndarray) -> np.ndarray:
         """Moving-average smoothing of one kernel row, preserving its integral."""

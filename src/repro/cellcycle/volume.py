@@ -21,6 +21,7 @@ import abc
 
 import numpy as np
 
+from repro import backends
 from repro.utils.validation import check_positive
 
 
@@ -80,8 +81,6 @@ class VolumeModel(abc.ABC):
         transition_phases: np.ndarray,
         cell_indices: np.ndarray,
         out: np.ndarray,
-        *,
-        backend=None,
     ) -> np.ndarray:
         """Pair volumes written into a caller-provided buffer.
 
@@ -90,9 +89,6 @@ class VolumeModel(abc.ABC):
         evaluates volumes directly into the buffer that becomes the binned
         accumulation weights, so subclasses can override this to skip every
         intermediate array; the base implementation simply copies.
-        ``backend`` selects the kernel backend (see ``repro.backends``) for
-        subclasses with a dispatched evaluation path; the generic base path
-        ignores it.
         """
         out[...] = self.volume_for_cells(phi, transition_phases, cell_indices)
         return out
@@ -246,13 +242,11 @@ class SmoothVolumeModel(VolumeModel):
         transition_phases: np.ndarray,
         cell_indices: np.ndarray,
         out: np.ndarray,
-        *,
-        backend=None,
     ) -> np.ndarray:
         """Fused Horner evaluation straight into a caller-provided buffer.
 
         The piecewise polynomial is accumulated in place in ``out`` by the
-        selected kernel backend (``repro.backends``): the numpy reference
+        active kernel backend (``repro.backends``): the numpy reference
         Horner-evaluates the piece covering the **majority** of the pairs
         over the whole buffer and scatters only the minority piece through
         its boolean mask — no full second-piece array, no ``where``
@@ -261,8 +255,6 @@ class SmoothVolumeModel(VolumeModel):
         weight buffer of the binned accumulation, so volume evaluation flows
         directly into the histogram pass.
         """
-        from repro import backends
-
         phi = np.asarray(phi, dtype=float)
         s = np.asarray(transition_phases, dtype=float)
         cell_indices = np.asarray(cell_indices)
@@ -272,7 +264,7 @@ class SmoothVolumeModel(VolumeModel):
             raise ValueError("transition phases must lie strictly inside (0, 1)")
         phi = np.clip(phi, 0.0, 1.0)
         late_base, linear, quad, cubic = self._cached_coefficients(s)
-        return backends.resolve(backend).smooth_volume_into(
+        return backends.active_backend().smooth_volume_into(
             phi, s, cell_indices, late_base, linear, quad, cubic, self.v0, out
         )
 

@@ -12,7 +12,6 @@ Usage::
     python -m repro.cli serve-bench --http [--http-clients 4]
     python -m repro.cli serve [--host 127.0.0.1] [--port 8732]
     python -m repro.cli backends
-    python -m repro.cli --backend numba figure2
 
 Each sub-command runs the corresponding experiment driver — all of which
 route their fits through the experiment-scoped ``FitSession`` layer — and
@@ -26,10 +25,9 @@ edge (``repro.service.net``) and the same gate applies end to end.
 streaming plus the ``/healthz`` / ``/metrics`` / ``/pool`` / ``/backends``
 ops routes) until interrupted.
 
-The global ``--backend`` flag (before the sub-command) selects the kernel
-backend for the run (``numpy`` reference or the compiled ``numba`` backend
-from the ``[compiled]`` extra); ``backends`` lists the registry with
-availability and the active selection.
+``backends`` prints the kernel backend selected at import by the
+``REPRO_BACKEND`` environment variable (``numpy`` reference or the compiled
+``numba`` backend from the ``[compiled]`` extra) and the requested name.
 """
 
 from __future__ import annotations
@@ -61,14 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="In silico synchronization of cellular populations (DAC 2011 reproduction)",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="kernel backend for this run (registered: "
-             f"{', '.join(backends.registered_backends())}; unavailable compiled "
-             "backends fall back to the numpy reference with a warning)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -166,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser(
         "backends",
-        help="list registered kernel backends (availability and active selection)",
+        help=f"print the active and requested kernel backend ({config.BACKEND_ENV_VAR})",
     )
     return parser
 
@@ -649,22 +639,9 @@ def _run_serve_scenarios(args: argparse.Namespace, kernels, factory) -> int:
 
 
 def _run_backends(args: argparse.Namespace) -> int:
-    """Print the kernel-backend registry (``repro backends``)."""
-    rows = []
-    for entry in backends.backend_table():
-        rows.append([
-            entry["name"],
-            "yes" if entry["compiled"] else "no",
-            "yes" if entry["available"] else "no",
-            "*" if entry["active"] else "",
-            entry["description"] + (f" [{entry['error']}]" if entry["error"] else ""),
-        ])
-    print(format_table(
-        ["backend", "compiled", "available", "active", "description"], rows
-    ))
-    print(f"requested at import: {backends.requested_backend()!r} "
-          f"(env var {config.BACKEND_ENV_VAR}); "
-          f"active: {backends.active_backend().name!r}")
+    """Print the active and requested kernel backend (``repro backends``)."""
+    print(f"active: {backends.active_backend().name}")
+    print(f"requested: {backends.requested_backend()} ({config.BACKEND_ENV_VAR})")
     return 0
 
 
@@ -693,8 +670,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "serve": _run_serve,
         "backends": _run_backends,
     }
-    if args.backend is not None:
-        backends.set_active_backend(args.backend)
     with np.printoptions(precision=4, suppress=True):
         return handlers[args.command](args)
 

@@ -43,17 +43,11 @@ DEFAULT_NUM_BASIS: int = 12
 #: constraints and profile evaluation.
 DEFAULT_FINE_GRID: int = 201
 
-#: Default kernel backend for the hot inner loops (see ``repro.backends``):
-#: the pure-numpy reference.  Overridable per process with the environment
-#: variable named by :data:`BACKEND_ENV_VAR`, per session with
-#: ``repro.backends.set_active_backend`` (the CLI's ``--backend`` flag), and
-#: per call with the ``backend=`` argument of the dispatching entry points.
-DEFAULT_BACKEND: str = "numpy"
-
-#: Environment variable consulted once at import for the kernel backend
-#: selection (``REPRO_BACKEND=numba`` enables the compiled backend when the
-#: ``[compiled]`` extra is installed; unavailable backends fall back to the
-#: numpy reference with a logged warning).
+#: Environment variable read once, when ``repro.backends`` is imported: the
+#: only kernel-backend selection.  Unset means the ``numpy`` reference;
+#: ``numba`` selects the compiled backend when the ``[compiled]`` extra is
+#: installed (otherwise, like an unknown name, it logs a warning and uses
+#: numpy).
 BACKEND_ENV_VAR: str = "REPRO_BACKEND"
 
 #: Worker cap for thread pools (the service scheduler's batch workers).

@@ -268,15 +268,13 @@ class Constraint(abc.ABC):
         """Append this constraint's rows to ``constraint_set``."""
 
     def apply_with_context(
-        self, constraint_set: ConstraintSet, context: AssemblyContext, *, backend=None
+        self, constraint_set: ConstraintSet, context: AssemblyContext
     ) -> None:
         """Append rows using a shared :class:`AssemblyContext`.
 
         The default delegates to :meth:`apply`, so third-party constraints
         written against the ``(basis, parameters)`` signature keep working;
         the built-in constraints override this with the table-sharing path.
-        ``backend`` selects the kernel backend for the quadrature reductions
-        (``None`` means the process-wide active one).
         """
         self.apply(constraint_set, context.basis, context.parameters)
 
@@ -308,7 +306,7 @@ class PositivityConstraint(Constraint):
         self.apply_with_context(constraint_set, assembly_context(basis, parameters))
 
     def apply_with_context(
-        self, constraint_set: ConstraintSet, context: AssemblyContext, *, backend=None
+        self, constraint_set: ConstraintSet, context: AssemblyContext
     ) -> None:
         """Append the positivity rows from the context's cached basis table."""
         rows = context.basis_values(self.grid_size)
@@ -336,13 +334,13 @@ class RNAConservationConstraint(Constraint):
         self.apply_with_context(constraint_set, assembly_context(basis, parameters))
 
     def apply_with_context(
-        self, constraint_set: ConstraintSet, context: AssemblyContext, *, backend=None
+        self, constraint_set: ConstraintSet, context: AssemblyContext
     ) -> None:
         """Append the conservation row from the context's cached tables."""
         parameters = context.parameters
         _, weights, density = context.density_quadrature(self.quadrature_size)
         basis_at_zero, basis_at_one = context.endpoint_values
-        density_integral = backends.resolve(backend).weighted_dot(
+        density_integral = backends.active_backend().weighted_dot(
             weights, density, context.basis_values(self.quadrature_size)
         )
         row = (
@@ -375,11 +373,11 @@ class RateContinuityConstraint(Constraint):
         self.apply_with_context(constraint_set, assembly_context(basis, parameters))
 
     def apply_with_context(
-        self, constraint_set: ConstraintSet, context: AssemblyContext, *, backend=None
+        self, constraint_set: ConstraintSet, context: AssemblyContext
     ) -> None:
         """Append the rate-continuity row from the context's cached tables."""
         parameters = context.parameters
-        kernel_backend = backends.resolve(backend)
+        kernel_backend = backends.active_backend()
         _, weights, density = context.density_quadrature(self.quadrature_size)
         # The divergence of beta at phi = 1 is handled once, inside the
         # context's masked beta table (see AssemblyContext.beta_quadrature).
@@ -431,25 +429,16 @@ def build_constraint_set(
     parameters: CellCycleParameters,
     *,
     context: AssemblyContext | None = None,
-    backend: str | None = None,
 ) -> ConstraintSet:
     """Assemble the linear rows of all given constraints.
 
     All constraints share one :class:`AssemblyContext` (the memoised
     module-level context by default), so the dense quadrature tables and
     basis evaluations are computed at most once per configuration.
-
-    ``backend`` selects the kernel backend for the quadrature reductions
-    (see ``repro.backends``); ``None`` — the default — uses the process-wide
-    active backend and keeps compatibility with third-party constraints
-    whose ``apply_with_context`` predates the ``backend`` keyword.
     """
     if context is None:
         context = assembly_context(basis, parameters)
     constraint_set = ConstraintSet.empty(basis.num_basis)
     for constraint in constraints:
-        if backend is None:
-            constraint.apply_with_context(constraint_set, context)
-        else:
-            constraint.apply_with_context(constraint_set, context, backend=backend)
+        constraint.apply_with_context(constraint_set, context)
     return constraint_set

@@ -275,7 +275,6 @@ class Deconvolver:
         rng: SeedLike = 0,
         engine: str = "auto",
         warm_start_chain: bool = True,
-        cross_lambda: bool | None = None,
     ) -> list[DeconvolutionResult]:
         """Deconvolve several species sharing the same measurement times.
 
@@ -318,14 +317,6 @@ class Deconvolver:
             solve is warm-started from the previous species' solution and
             active set.  Set to false for fully independent,
             order-insensitive per-species solves.
-        cross_lambda:
-            Batch engine only: when a batch spans several distinct lambdas,
-            solve all of them in one stacked eig-basis pass
-            (:meth:`~repro.core.problem.DeconvolutionProblem.solve_mixed`)
-            instead of one ``solve_batch`` per lambda group.  ``None``
-            (default) enables the stacked pass automatically for
-            mixed-lambda batches; ``False`` forces the per-group sweep.
-            Either path returns the same verified optima (≤ 1e-10).
 
         Returns
         -------
@@ -413,14 +404,6 @@ class Deconvolver:
                 paths.append(selection.scores)
 
         if engine == "batch":
-            # Species sharing a selected lambda also share their Hessian
-            # factorization, so each group is one stacked multi-RHS solve.
-            # Groups are swept from the largest lambda down (heavily
-            # smoothed solves activate the fewest constraints) and each
-            # group's last active set seeds the next group's batched KKT
-            # verification — the cross-species warm chain of the serial
-            # engine, expressed as shared-set guesses.
-            #
             # Results are built straight from the stacked solve arrays, each
             # owning one row of a stacked copy of the (validated) times and
             # measurements: writing to one result's arrays never touches its
@@ -454,10 +437,7 @@ class Deconvolver:
                         batch.active_sets[row],
                     )
 
-            groups: dict[float, list[int]] = {}
-            for column, chosen in enumerate(lams):
-                groups.setdefault(chosen, []).append(column)
-            if len(groups) > 1 and cross_lambda is not False:
+            if len(set(lams)) > 1:
                 # Mixed-lambda batch: one stacked eig-basis pass solves every
                 # column regardless of its lambda (per-group active-set
                 # fallback runs inside solve_mixed only where positivity
@@ -467,36 +447,26 @@ class Deconvolver:
                     lams, matrix, backend=self.solver_backend
                 )
                 package_rows(mixed, range(num_species))
-                return results
-            shared: list[int] | None = None
-            for chosen in sorted(groups, reverse=True):
-                columns = groups[chosen]
-                if len(columns) == 1:
-                    # Singleton group: the stacked multi-RHS machinery (RHS
-                    # stacking, vectorized KKT verification) costs more than
-                    # it saves for one row; the plain warm workspace solve
-                    # reaches the same exact optimum.
-                    (column,) = columns
-                    qp_result = problems[column].solve(
-                        chosen, backend=self.solver_backend, active_set=shared
-                    )
-                    package(
-                        column,
-                        qp_result.x,
-                        qp_result.converged,
-                        qp_result.iterations,
-                        qp_result.active_set,
-                    )
-                    shared = list(qp_result.active_set) or shared
-                    continue
-                batch = workspace.template.solve_batch(
-                    chosen,
-                    matrix[:, columns],
-                    backend=self.solver_backend,
-                    shared_active_set=shared,
+            elif num_species == 1:
+                # One column: the stacked multi-RHS machinery (RHS stacking,
+                # vectorized KKT verification) costs more than it saves for
+                # one row; the plain warm workspace solve reaches the same
+                # exact optimum.
+                qp_result = problems[0].solve(lams[0], backend=self.solver_backend)
+                package(
+                    0,
+                    qp_result.x,
+                    qp_result.converged,
+                    qp_result.iterations,
+                    qp_result.active_set,
                 )
-                package_rows(batch, columns)
-                shared = batch.active_sets[-1] or shared
+            elif num_species:
+                # One lambda shared by every species: one shared Hessian
+                # factorization, one stacked multi-RHS solve.
+                batch = workspace.template.solve_batch(
+                    lams[0], matrix, backend=self.solver_backend
+                )
+                package_rows(batch, range(num_species))
             return results
 
         # Serial engine without the warm chain: independent per-species solves.

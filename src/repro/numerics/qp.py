@@ -613,7 +613,6 @@ class QPWorkspace:
         shared_active_set: Optional[Sequence[int]] = None,
         max_iterations: int = 500,
         tol: float = 1e-9,
-        kernel_backend: backends.BackendSpec = None,
     ) -> BatchQPResult:
         """Solve a whole family of linear terms against the shared factorization.
 
@@ -642,12 +641,6 @@ class QPWorkspace:
         max_iterations, tol:
             Passed to the fallback active-set solves; ``tol`` also bounds the
             primal/dual verification of the batched solutions.
-        kernel_backend:
-            Kernel backend for the per-pass result packaging and the final
-            objective evaluation (see ``repro.backends``); ``None`` uses the
-            process-wide active backend.  Named ``kernel_backend`` (not
-            ``backend``) because ``backend=`` already selects the QP
-            *algorithm* in :func:`solve_qp`.
 
         Notes
         -----
@@ -669,7 +662,7 @@ class QPWorkspace:
             raise ValueError(
                 "gradients must have shape (num_problems, num_variables)"
             )
-        kb = backends.resolve(kernel_backend)
+        kb = backends.active_backend()
         num_problems = gradients.shape[0]
         n = self.num_variables
         solutions = np.zeros((num_problems, n))

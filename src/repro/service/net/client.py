@@ -177,7 +177,7 @@ class FitHTTPClient:
         return self.get_json("/pool")
 
     def backends(self) -> dict:
-        """The ``/backends`` kernel-backend registry document."""
+        """The ``/backends`` document: active and requested kernel backend."""
         return self.get_json("/backends")
 
 

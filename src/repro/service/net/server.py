@@ -16,7 +16,7 @@ Routes (schema v1):
   stream in, result/error frames stream out as solves finish.
 * ``GET /healthz``, ``GET /metrics``, ``GET /pool``, ``GET /backends`` —
   the ops surface (liveness, live ``Telemetry.snapshot()``, pool/session
-  stats, kernel-backend registry).
+  stats, active and requested kernel backend).
 
 Two properties are load-bearing and regression-tested:
 
@@ -392,7 +392,6 @@ class FitServer:
                 self.telemetry.increment("net_route_backends")
                 return 200, json.dumps(
                     {
-                        "backends": backends.backend_table(),
                         "active": backends.active_backend().name,
                         "requested": backends.requested_backend(),
                     }

@@ -1,195 +1,132 @@
-"""Backend selection, fallback and registry behaviour of ``repro.backends``.
+"""Import-time kernel-backend selection of ``repro.backends``.
 
-Covers the selection precedence (config default < ``REPRO_BACKEND`` env var
-< process-wide ``set_active_backend`` / ``use_backend`` < per-call
-``backend=`` via ``resolve``), the unknown-backend error, the graceful
-numpy fallback when the numba dependency is missing (simulated through an
-import hook so the test works whether or not numba is installed), and the
-``repro backends`` CLI listing.
+``REPRO_BACKEND`` is read once, when the package is imported, so each
+selection case runs in a fresh interpreter: unset selects numpy, an unknown
+name or ``numba`` without numba installed (simulated with an import hook, so
+the test works whether or not numba is present) logs one warning and selects
+numpy, and ``repro backends`` prints the active and requested names.
 """
 
 from __future__ import annotations
 
 import importlib.util
-import logging
 import os
 import subprocess
 import sys
-
-import pytest
+import types
 
 from repro import backends, config
-from repro.backends.base import KernelBackend
-from repro.backends.numpy_backend import NumpyBackend
+from repro.backends import numpy_backend
 
 HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
+KERNELS = (
+    "smooth_volume_into",
+    "uniform_bin_indices",
+    "weighted_bincount",
+    "smooth_rows",
+    "weighted_dot",
+    "partition_accepted",
+    "batch_objectives",
+)
 
-@pytest.fixture(autouse=True)
-def restore_backend_state():
-    """Reset memoised instances and the active selection after every test."""
-    yield
-    backends.clear_backend_cache()
+# Prepended to a child interpreter's code: ``import numba`` raises ImportError.
+BLOCK_NUMBA = (
+    "import sys\n"
+    "class BlockNumba:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.split('.')[0] == 'numba':\n"
+    "            raise ImportError('numba import blocked by test hook')\n"
+    "sys.meta_path.insert(0, BlockNumba())\n"
+)
+
+SELECTION = (
+    "import logging\n"
+    "logging.basicConfig(level=logging.WARNING, format='%(name)s %(message)s')\n"
+    "from repro import backends\n"
+    "print(backends.requested_backend(), backends.active_backend().name)\n"
+)
+
+
+def run_python(*args, backend=None):
+    """Run a fresh interpreter with ``REPRO_BACKEND`` set to ``backend`` (or unset)."""
+    env = dict(os.environ)
+    env.pop(config.BACKEND_ENV_VAR, None)
+    if backend is not None:
+        env[config.BACKEND_ENV_VAR] = backend
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+    )
+
+
+def warnings_of(result):
+    return [line for line in result.stderr.splitlines() if line.startswith("repro.backends")]
 
 
 class TestSelectionPrecedence:
     def test_config_default_is_numpy(self):
-        assert config.DEFAULT_BACKEND == "numpy"
+        """With ``REPRO_BACKEND`` unset the numpy reference is selected, silently."""
         assert config.BACKEND_ENV_VAR == "REPRO_BACKEND"
+        result = run_python("-c", SELECTION)
+        assert result.stdout.split() == ["numpy", "numpy"]
+        assert warnings_of(result) == []
 
     def test_import_time_selection_resolves(self):
-        assert backends.requested_backend() in backends.registered_backends()
-        assert isinstance(backends.active_backend(), KernelBackend)
+        assert backends.requested_backend() == os.environ.get("REPRO_BACKEND", "numpy")
+        active = backends.active_backend()
+        assert isinstance(active, types.ModuleType)
+        assert active.name in {"numpy", "numba"}
+        for kernel in KERNELS:
+            assert callable(getattr(active, kernel))
 
     def test_env_var_selects_backend_at_import(self):
-        code = (
-            "from repro import backends; "
-            "print(backends.requested_backend(), backends.active_backend().name)"
-        )
-        env = {**os.environ, "REPRO_BACKEND": "numpy"}
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env, capture_output=True, text=True, check=True,
-        )
+        result = run_python("-c", SELECTION, backend="numpy")
         assert result.stdout.split() == ["numpy", "numpy"]
+        assert warnings_of(result) == []
 
     def test_env_var_unknown_name_warns_and_uses_default(self):
-        code = (
-            "import logging; logging.basicConfig(level=logging.WARNING); "
-            "from repro import backends; "
-            "print(backends.requested_backend(), backends.active_backend().name)"
-        )
-        env = {**os.environ, "REPRO_BACKEND": "definitely-not-a-backend"}
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert result.stdout.split() == ["numpy", "numpy"]
-        assert "does not name a registered kernel backend" in result.stderr
-
-    def test_set_active_backend_overrides_import_selection(self):
-        instance = backends.set_active_backend("numpy")
-        assert backends.active_backend() is instance
-
-    def test_use_backend_scopes_the_override(self):
-        before = backends.active_backend()
-        with backends.use_backend("numpy") as selected:
-            assert backends.active_backend() is selected
-        assert backends.active_backend() is before
-
-    def test_resolve_per_call_wins_over_active(self):
-        assert backends.resolve(None) is backends.active_backend()
-        assert backends.resolve("numpy").name == "numpy"
-        instance = NumpyBackend()
-        assert backends.resolve(instance) is instance
-
-    def test_get_backend_memoises_instances(self):
-        assert backends.get_backend("numpy") is backends.get_backend("numpy")
+        result = run_python("-c", SELECTION, backend="bogus")
+        assert result.stdout.split() == ["bogus", "numpy"]
+        (warning,) = warnings_of(result)
+        assert "'bogus' does not name a kernel backend" in warning
 
 
 class TestRegistry:
-    def test_both_backends_registered(self):
-        assert backends.registered_backends() == ("numba", "numpy")
+    def test_both_backends_registered(self, compiled):
+        """Both backend modules define the same seven kernels plus ``name``."""
+        assert numpy_backend.name == "numpy"
+        assert compiled.name == "numba"
+        for kernel in KERNELS:
+            assert callable(getattr(numpy_backend, kernel))
+            assert callable(getattr(compiled, kernel))
 
     def test_availability(self):
-        availability = backends.available_backends()
-        assert availability["numpy"] is True
-        assert availability["numba"] is HAVE_NUMBA
-
-    def test_unknown_backend_error_lists_registered(self):
-        with pytest.raises(ValueError, match="unknown kernel backend 'gpu'"):
-            backends.get_backend("gpu")
-        with pytest.raises(ValueError, match="numba, numpy"):
-            backends.resolve("gpu")
-
-    def test_backend_table_shape(self):
-        rows = {row["name"]: row for row in backends.backend_table()}
-        assert set(rows) == {"numpy", "numba"}
-        assert rows["numpy"]["available"] is True
-        assert rows["numpy"]["compiled"] is False
-        assert rows["numba"]["compiled"] is True
-        assert sum(row["active"] for row in rows.values()) == 1
-
-
-class _BlockNumbaFinder:
-    """Meta-path finder making ``import numba`` fail with ImportError."""
-
-    def find_spec(self, name, path=None, target=None):
-        if name == "numba" or name.startswith("numba."):
-            raise ImportError("numba import blocked by test hook")
-        return None
-
-
-@pytest.fixture()
-def numba_blocked():
-    """Simulate a numpy-only install regardless of what is really present."""
-    blocked_prefixes = ("numba", "repro.backends.numba_backend")
-    saved = {
-        name: sys.modules.pop(name)
-        for name in list(sys.modules)
-        if name.split(".")[0] == "numba" or name in blocked_prefixes
-    }
-    finder = _BlockNumbaFinder()
-    sys.meta_path.insert(0, finder)
-    backends.clear_backend_cache()
-    try:
-        yield
-    finally:
-        sys.meta_path.remove(finder)
-        sys.modules.update(saved)
-        backends.clear_backend_cache()
+        """``REPRO_BACKEND=numba`` selects numba exactly when numba imports."""
+        result = run_python("-c", SELECTION, backend="numba")
+        assert result.stdout.split() == ["numba", "numba" if HAVE_NUMBA else "numpy"]
+        assert len(warnings_of(result)) == (0 if HAVE_NUMBA else 1)
 
 
 class TestFallback:
-    def test_missing_numba_falls_back_to_numpy(self, numba_blocked, caplog):
-        with caplog.at_level(logging.WARNING, logger="repro.backends"):
-            selected = backends.get_backend("numba")
-            again = backends.get_backend("numba")
-        assert selected.name == "numpy"
-        assert again is selected
-        fallback_lines = [
-            record for record in caplog.records
-            if "falling back" in record.getMessage()
-        ]
-        # The warning is logged exactly once per process, not per call.
-        assert len(fallback_lines) == 1
-        assert "numba" in fallback_lines[0].getMessage()
+    def test_missing_numba_falls_back_to_numpy(self):
+        result = run_python("-c", BLOCK_NUMBA + SELECTION, backend="numba")
+        assert result.stdout.split() == ["numba", "numpy"]
+        # Exactly one warning, logged at import.
+        (warning,) = warnings_of(result)
+        assert "numba is unavailable" in warning
+        assert "numba import blocked by test hook" in warning
 
-    def test_missing_numba_set_active_falls_back(self, numba_blocked):
-        active = backends.set_active_backend("numba")
-        assert active.name == "numpy"
-        assert backends.active_backend() is active
-
-    def test_missing_numba_strict_mode_raises(self, numba_blocked):
-        with pytest.raises(ImportError, match="'numba' is unavailable"):
-            backends.get_backend("numba", fallback=False)
-
-    def test_missing_numba_reported_unavailable(self, numba_blocked):
-        assert backends.available_backends() == {"numba": False, "numpy": True}
-        rows = {row["name"]: row for row in backends.backend_table()}
-        assert rows["numba"]["available"] is False
-        assert rows["numba"]["error"]
+    def test_missing_numba_reported_unavailable(self):
+        code = BLOCK_NUMBA + "from repro.cli import main\nraise SystemExit(main(['backends']))\n"
+        result = run_python("-c", code, backend="numba")
+        assert "active: numpy" in result.stdout
+        assert "requested: numba" in result.stdout
 
 
 class TestCli:
-    def test_backends_subcommand_lists_registry(self, capsys):
-        from repro.cli import main
-
-        assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        assert "numpy" in out
-        assert "numba" in out
-        assert "requested at import:" in out
-
-    def test_backend_flag_sets_process_selection(self, capsys):
-        from repro.cli import main
-
-        assert main(["--backend", "numpy", "backends"]) == 0
-        out = capsys.readouterr().out
-        assert "active: 'numpy'" in out
-
-    def test_backend_flag_unknown_name_raises(self):
-        from repro.cli import main
-
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            main(["--backend", "gpu", "backends"])
+    def test_backends_subcommand_lists_registry(self):
+        result = run_python("-m", "repro.cli", "backends")
+        assert result.stdout.splitlines() == [
+            "active: numpy",
+            "requested: numpy (REPRO_BACKEND)",
+        ]

@@ -1,45 +1,40 @@
 """Machine-precision equivalence of every ported kernel across backends.
 
-Each hot-path kernel behind :class:`repro.backends.base.KernelBackend` is
-checked two ways:
+Each hot-path kernel of the ``repro.backends`` function table is checked two
+ways:
 
 * the **numpy reference backend** against an independent straightforward
   implementation written here (``np.where`` volume evaluation, per-row
   ``np.convolve`` smoothing, ``searchsorted`` binning, plain loops) — so the
   reference cannot silently drift from its documented semantics;
-* the **numba compiled backend** against the numpy reference to the
-  ``<= 1e-12`` contract (exact for integer outputs), gated on numba being
-  installed — the CI backend matrix runs these on its ``numba`` leg.
+* the **numba backend** against the numpy reference to the ``<= 1e-12``
+  contract (exact for integer outputs).  The ``compiled`` fixture compiles
+  the kernels when numba is installed and otherwise runs the same loop
+  bodies as plain Python, so the check never skips.
 
 End-to-end cross-backend checks cover the kernel build, constraint assembly
-and the stacked QP batch solve.
+and the stacked QP batch solve, with the active function table pinned to
+each backend in turn.
 """
 
 from __future__ import annotations
-
-import importlib.util
 
 import numpy as np
 import pytest
 
 from repro import backends
-from repro.backends.numpy_backend import NumpyBackend
-
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
+from repro.backends import numpy_backend
 
 TOL = 1e-12
 
 
-@pytest.fixture(scope="module")
-def reference():
-    return NumpyBackend()
+@pytest.fixture()
+def pin_table(monkeypatch):
+    """Pin the active kernel-backend table for the rest of one test."""
+    def pin(module):
+        monkeypatch.setattr(backends, "_active", module)
 
-
-@pytest.fixture(scope="module")
-def compiled():
-    if not HAVE_NUMBA:
-        pytest.skip("numba not installed ([compiled] extra)")
-    return backends.get_backend("numba", fallback=False)
+    return pin
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +172,7 @@ class TestNumpyReferenceSemantics:
 
 
 # ---------------------------------------------------------------------------
-# numba compiled backend vs the numpy reference (gated on the extra).
+# numba backend vs the numpy reference.
 # ---------------------------------------------------------------------------
 
 
@@ -267,44 +262,43 @@ class TestCompiledMatchesReference:
 
 
 class TestEndToEnd:
-    def test_kernel_builder_explicit_numpy_is_byte_identical(
-        self, paper_parameters, measurement_times
-    ):
+    def _build(self, paper_parameters, measurement_times):
         from repro.cellcycle.kernel import KernelBuilder
 
-        default = KernelBuilder(
+        return KernelBuilder(
             paper_parameters, num_cells=1500, phase_bins=40
         ).build(measurement_times, rng=3)
-        explicit = KernelBuilder(
-            paper_parameters, num_cells=1500, phase_bins=40, backend="numpy"
-        ).build(measurement_times, rng=3)
+
+    def test_kernel_builder_explicit_numpy_is_byte_identical(
+        self, paper_parameters, measurement_times, pin_table
+    ):
+        default = self._build(paper_parameters, measurement_times)
+        pin_table(numpy_backend)
+        explicit = self._build(paper_parameters, measurement_times)
         np.testing.assert_array_equal(explicit.density, default.density)
 
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
     def test_kernel_builder_compiled_matches_reference(
-        self, paper_parameters, measurement_times
+        self, paper_parameters, measurement_times, compiled, pin_table
     ):
-        from repro.cellcycle.kernel import KernelBuilder
-
-        reference_kernel = KernelBuilder(
-            paper_parameters, num_cells=1500, phase_bins=40
-        ).build(measurement_times, rng=3)
-        compiled_kernel = KernelBuilder(
-            paper_parameters, num_cells=1500, phase_bins=40, backend="numba"
-        ).build(measurement_times, rng=3)
+        pin_table(numpy_backend)
+        reference_kernel = self._build(paper_parameters, measurement_times)
+        pin_table(compiled)
+        compiled_kernel = self._build(paper_parameters, measurement_times)
         np.testing.assert_allclose(
             compiled_kernel.density, reference_kernel.density, rtol=0, atol=TOL
         )
 
-    def test_constraint_assembly_explicit_numpy_is_identical(self, basis12,
-                                                             paper_parameters):
+    def test_constraint_assembly_explicit_numpy_is_identical(
+        self, basis12, paper_parameters, pin_table
+    ):
         from repro.core.constraints import build_constraint_set, default_constraints
 
         default = build_constraint_set(
             default_constraints(), basis12, paper_parameters
         )
+        pin_table(numpy_backend)
         explicit = build_constraint_set(
-            default_constraints(), basis12, paper_parameters, backend="numpy"
+            default_constraints(), basis12, paper_parameters
         )
         np.testing.assert_array_equal(
             explicit.equality_matrix, default.equality_matrix
@@ -313,16 +307,18 @@ class TestEndToEnd:
             explicit.equality_vector, default.equality_vector
         )
 
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_constraint_assembly_compiled_matches_reference(self, basis12,
-                                                            paper_parameters):
+    def test_constraint_assembly_compiled_matches_reference(
+        self, basis12, paper_parameters, compiled, pin_table
+    ):
         from repro.core.constraints import build_constraint_set, default_constraints
 
+        pin_table(numpy_backend)
         reference_set = build_constraint_set(
-            default_constraints(), basis12, paper_parameters, backend="numpy"
+            default_constraints(), basis12, paper_parameters
         )
+        pin_table(compiled)
         compiled_set = build_constraint_set(
-            default_constraints(), basis12, paper_parameters, backend="numba"
+            default_constraints(), basis12, paper_parameters
         )
         np.testing.assert_allclose(
             compiled_set.equality_matrix, reference_set.equality_matrix,
@@ -349,19 +345,21 @@ class TestEndToEnd:
         gradients = gen.normal(size=(25, n))
         return QPWorkspace(program), gradients
 
-    def test_solve_batch_explicit_numpy_is_identical(self):
+    def test_solve_batch_explicit_numpy_is_identical(self, pin_table):
         workspace, gradients = self._batch_workspace()
         default = workspace.solve_batch(gradients)
-        explicit = workspace.solve_batch(gradients, kernel_backend="numpy")
+        pin_table(numpy_backend)
+        explicit = workspace.solve_batch(gradients)
         np.testing.assert_array_equal(explicit.x, default.x)
         np.testing.assert_array_equal(explicit.objectives, default.objectives)
         assert explicit.active_sets == default.active_sets
 
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_solve_batch_compiled_matches_reference(self):
+    def test_solve_batch_compiled_matches_reference(self, compiled, pin_table):
         workspace, gradients = self._batch_workspace()
-        reference_batch = workspace.solve_batch(gradients, kernel_backend="numpy")
-        compiled_batch = workspace.solve_batch(gradients, kernel_backend="numba")
+        pin_table(numpy_backend)
+        reference_batch = workspace.solve_batch(gradients)
+        pin_table(compiled)
+        compiled_batch = workspace.solve_batch(gradients)
         np.testing.assert_allclose(
             compiled_batch.x, reference_batch.x, rtol=0, atol=TOL
         )

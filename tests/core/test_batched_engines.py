@@ -456,20 +456,6 @@ class TestCrossLambdaFitMany:
 
     LAMS = [1e-3, 1e-2, 1e-3, 3e-2, 1e-2]
 
-    def test_stacked_pass_matches_per_group_sweep(
-        self, small_kernel, paper_parameters, species_matrix
-    ):
-        deconvolver = Deconvolver(small_kernel, parameters=paper_parameters, num_basis=12)
-        stacked = deconvolver.fit_many(
-            small_kernel.times, species_matrix, lam=self.LAMS
-        )
-        grouped = deconvolver.fit_many(
-            small_kernel.times, species_matrix, lam=self.LAMS, cross_lambda=False
-        )
-        for a, b in zip(stacked, grouped):
-            assert a.lam == b.lam
-            assert np.max(np.abs(a.coefficients - b.coefficients)) <= 1e-10
-
     def test_stacked_pass_matches_individual_fits(
         self, small_kernel, paper_parameters, species_matrix
     ):
@@ -521,24 +507,23 @@ class TestBatchValidatedOnce:
             )
 
     @pytest.mark.parametrize(
-        "lam, columns, cross_lambda",
+        "lam, columns",
         [
-            (LAMS, slice(None), None),  # one stacked mixed-lambda solve_mixed
-            (1e-2, slice(None), None),  # one per-lambda solve_batch
-            (LAMS, slice(None), False),  # per-group sweep; the 3e-2 group is a singleton
-            (1e-2, slice(0, 1), None),  # a one-column batch: the singleton solve
-            (None, slice(None), None),  # batched GCV selection, then solve_batch
+            (LAMS, slice(None)),  # one stacked mixed-lambda solve_mixed
+            (1e-2, slice(None)),  # one per-lambda solve_batch
+            (1e-2, slice(0, 1)),  # a one-column batch: the singleton solve
+            (None, slice(None)),  # batched GCV selection, then solve_batch
         ],
-        ids=["mixed", "single", "per-group", "singleton", "gcv"],
+        ids=["mixed", "single", "singleton", "gcv"],
     )
     def test_batch_paths_match_serial_engine(
-        self, deconvolver, species_matrix, lam, columns, cross_lambda
+        self, deconvolver, species_matrix, lam, columns
     ):
         matrix = species_matrix[:, columns]
         if isinstance(lam, list):
             lam = lam[columns]
         times = deconvolver.kernel.times
-        batch = deconvolver.fit_many(times, matrix, lam=lam, cross_lambda=cross_lambda)
+        batch = deconvolver.fit_many(times, matrix, lam=lam)
         serial = deconvolver.fit_many(
             times, matrix, lam=lam, engine="serial", warm_start_chain=False
         )

@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from repro import backends
 from repro.service import IntakeOverflow, max_coefficient_gap, serial_reference
 from repro.service.net import (
     FitHTTPClient,
@@ -108,7 +109,10 @@ class TestOpsRoutesUnderLoad:
         assert metrics["gauges"]["net_connections"] >= 1
         assert "server" in metrics and metrics["server"]["port"] == live_server.port
         assert "queue_depth" in pool or "pool" in pool
-        assert any(entry["active"] for entry in backends_doc["backends"])
+        assert backends_doc == {
+            "active": backends.active_backend().name,
+            "requested": backends.requested_backend(),
+        }
 
     def test_route_counters_increment_per_route(self, live_server):
         telemetry = live_server.server.telemetry
