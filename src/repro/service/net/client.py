@@ -3,8 +3,8 @@
 Two thin, dependency-free clients over the stdlib socket stack, speaking
 the :mod:`repro.service.net.protocol` frames:
 
-* :class:`FitHTTPClient` — request/response over HTTP/1.1 keep-alive
-  (``http.client``).  Typed errors come back as the *original* taxonomy
+* :class:`FitHTTPClient` — request/response over one raw HTTP/1.1
+  keep-alive socket.  Typed errors come back as the *original* taxonomy
   exceptions via :func:`~repro.service.net.protocol.frame_to_error`, so
   remote calls fail the same way in-process calls do.
 * :class:`StreamClient` — the WebSocket streaming route on a raw socket,
@@ -18,7 +18,6 @@ seeded load generator) can use them without an event loop.
 
 from __future__ import annotations
 
-import http.client
 import json
 import socket
 import threading
@@ -41,6 +40,9 @@ from repro.service.net.protocol import (
 
 __all__ = ["FitHTTPClient", "StreamClient"]
 
+#: Ceiling on a response head (status line plus headers), in bytes.
+_MAX_HEAD_BYTES = 65536
+
 
 def _raise_from_frame(frame: Frame) -> None:
     """Raise the typed exception an error frame describes."""
@@ -59,9 +61,16 @@ def _coerce_wire_fit(wire: WireFit | dict) -> WireFit:
 class FitHTTPClient:
     """Blocking HTTP client of the fit service edge.
 
-    One keep-alive connection per client instance; instances are not
-    thread-safe (``http.client`` is not), so concurrent callers each hold
-    their own — which is exactly how the bench models independent clients.
+    One keep-alive socket per client instance, opened on first use with
+    ``TCP_NODELAY``; instances are not thread-safe, so concurrent callers
+    each hold their own — which is exactly how the bench models independent
+    clients.  Each request leaves in one ``sendall``; the response parser
+    reads only what the server sends: a status line, headers, and a
+    ``Content-Length`` body.  A response without ``Content-Length`` raises
+    :class:`ProtocolError` (the client never waits for a close that may not
+    come).  A keep-alive connection the server dropped is reopened once per
+    request; a ``Connection: close`` response closes the socket, and the
+    next request opens a fresh one.
 
     Parameters
     ----------
@@ -80,11 +89,16 @@ class FitHTTPClient:
     ) -> None:
         self.host = host
         self.port = int(port)
-        self._conn = http.client.HTTPConnection(host, self.port, timeout=timeout)
+        self.timeout = timeout
+        self._sock: socket.socket | None = None
+        self._buffer = bytearray()  # bytes received past the last response
 
     def close(self) -> None:
         """Close the underlying keep-alive connection."""
-        self._conn.close()
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
+        self._buffer.clear()
 
     def __enter__(self) -> "FitHTTPClient":
         return self
@@ -94,20 +108,83 @@ class FitHTTPClient:
 
     # -- low level ------------------------------------------------------
 
-    def _round_trip(self, method: str, path: str, body: str | None = None) -> tuple[int, bytes]:
-        headers = {"Content-Type": "application/json"} if body is not None else {}
+    def _connect(self) -> socket.socket:
+        sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock = sock
+        return sock
+
+    def _recv_into_buffer(self, sock: socket.socket) -> None:
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise ConnectionError("server closed the connection")
+        self._buffer += chunk
+
+    def _read_response(self, sock: socket.socket) -> tuple[int, dict, bytes]:
+        buffer = self._buffer
+        while (end := buffer.find(b"\r\n\r\n")) < 0:
+            if len(buffer) > _MAX_HEAD_BYTES:
+                raise ProtocolError("oversized HTTP response head")
+            self._recv_into_buffer(sock)
+        status_line, *lines = buffer[:end].decode("latin-1").split("\r\n")
+        version, _sep, rest = status_line.partition(" ")
+        code = rest[:3]
+        if not version.startswith("HTTP/") or len(code) != 3 or not code.isdigit():
+            raise ProtocolError(f"malformed HTTP status line {status_line!r}")
+        headers = {}
+        for line in lines:
+            name, _sep, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = headers.get("content-length", "")
+        if not length.isdigit():
+            raise ProtocolError("HTTP response carries no valid Content-Length")
+        del buffer[: end + 4]
+        length = int(length)
+        while len(buffer) < length:
+            self._recv_into_buffer(sock)
+        body = bytes(buffer[:length])
+        del buffer[:length]
+        return int(code), headers, body
+
+    def _exchange(self, request: bytes) -> tuple[int, dict, bytes]:
+        sock = self._sock
+        reused = sock is not None
+        if sock is None:
+            sock = self._connect()
         try:
-            self._conn.request(method, path, body=body, headers=headers)
-            response = self._conn.getresponse()
-            data = response.read()
-        except (http.client.HTTPException, OSError):
-            # A dropped keep-alive connection (server restart, idle close):
-            # reconnect once, then let failures propagate.
-            self._conn.close()
-            self._conn.request(method, path, body=body, headers=headers)
-            response = self._conn.getresponse()
-            data = response.read()
-        return response.status, data
+            sock.sendall(request)
+            return self._read_response(sock)
+        except ConnectionError:
+            # A keep-alive connection the server dropped (restart, idle
+            # close) before answering is reopened once; anything else —
+            # a fresh connection failing, a half-received response —
+            # propagates.
+            if not reused or self._buffer:
+                raise
+        self.close()
+        sock = self._connect()
+        sock.sendall(request)
+        return self._read_response(sock)
+
+    def _round_trip(self, method: str, path: str, body: str | None = None) -> tuple[int, bytes]:
+        head = f"{method} {path} HTTP/1.1\r\nHost: {self.host}:{self.port}\r\n"
+        if body is None:
+            request = (head + "\r\n").encode("latin-1")
+        else:
+            data = body.encode()
+            request = (
+                f"{head}Content-Type: application/json\r\n"
+                f"Content-Length: {len(data)}\r\n\r\n"
+            ).encode("latin-1") + data
+        try:
+            status, headers, data = self._exchange(request)
+        except BaseException:
+            # The stream position is unknown after any failure mid-exchange.
+            self.close()
+            raise
+        if headers.get("connection", "").lower() == "close":
+            self.close()
+        return status, data
 
     def _call(self, path: str, frame: Frame, expect: str) -> Frame:
         status, data = self._round_trip("POST", path, frame.encode())

@@ -6,7 +6,10 @@ schema version (``v``), the frame ``kind``, an optional correlation ``id``
 dataclasses (:class:`WireFit`, :class:`WireResult`, :class:`WireError`,
 :class:`WireHello`) with explicit ``to_payload`` / ``from_payload``
 converters, so the schema is written down in exactly one place and both the
-server and the bundled client speak it through the same code.
+server and the bundled client speak it through the same code.  The
+converters name every key by hand rather than going through
+``dataclasses.asdict``, whose recursive deep copy costs more than the rest
+of a request's encode on the HTTP path.
 
 Design rules, each of which is property-tested:
 
@@ -32,7 +35,8 @@ from __future__ import annotations
 
 import json
 import queue
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -147,6 +151,11 @@ def _optional_number(value: object, name: str) -> float | None:
     return float(value)
 
 
+def _copy_list(value):
+    """A fresh list for list values (payloads never alias their source)."""
+    return list(value) if isinstance(value, list) else value
+
+
 # ----------------------------------------------------------------------
 # Payload types
 # ----------------------------------------------------------------------
@@ -180,7 +189,20 @@ class WireFit:
 
     def to_payload(self) -> dict:
         """Plain JSON-serialisable dict of this request."""
-        return asdict(self)
+        return {
+            "times": list(self.times),
+            "measurements": list(self.measurements),
+            "sigma": _copy_list(self.sigma),
+            "lam": self.lam,
+            "lambda_method": self.lambda_method,
+            "lambda_grid": _copy_list(self.lambda_grid),
+            "seed": self.seed,
+            "config": self.config,
+            "priority": self.priority,
+            "deadline_ms": self.deadline_ms,
+            "tag": self.tag,
+            "include_diagnostics": self.include_diagnostics,
+        }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "WireFit":
@@ -231,6 +253,13 @@ class WireFit:
         tag = payload.get("tag", "")
         if not isinstance(tag, str):
             raise ProtocolError("tag must be a string")
+        deadline_ms = _optional_number(payload.get("deadline_ms"), "deadline_ms")
+        if deadline_ms is not None and not (math.isfinite(deadline_ms) and deadline_ms >= 0.0):
+            # A 400, not a shed: retrying can never make this budget feasible.
+            raise ProtocolError("deadline_ms must be a finite number >= 0 or null")
+        include_diagnostics = payload.get("include_diagnostics", False)
+        if not isinstance(include_diagnostics, bool):
+            raise ProtocolError("include_diagnostics must be a boolean")
         return cls(
             times=times,
             measurements=measurements,
@@ -241,9 +270,9 @@ class WireFit:
             seed=seed,
             config=config,
             priority=priority,
-            deadline_ms=_optional_number(payload.get("deadline_ms"), "deadline_ms"),
+            deadline_ms=deadline_ms,
             tag=tag,
-            include_diagnostics=bool(payload.get("include_diagnostics", False)),
+            include_diagnostics=include_diagnostics,
         )
 
     def to_request(self) -> FitRequest:
@@ -281,21 +310,21 @@ class WireFit:
             raise ProtocolError("only integer (or null) seeds are wire-encodable")
         sigma = request.sigma
         if sigma is not None and not np.isscalar(sigma):
-            sigma = [float(v) for v in np.asarray(sigma, dtype=float)]
+            sigma = np.asarray(sigma, dtype=float).tolist()
         elif sigma is not None:
             sigma = float(sigma)
         if not isinstance(request.config, str):
             raise ProtocolError("only string config keys are wire-encodable")
         fields = dict(
-            times=[float(v) for v in np.asarray(request.times, dtype=float)],
-            measurements=[float(v) for v in np.asarray(request.measurements, dtype=float)],
+            times=np.asarray(request.times, dtype=float).tolist(),
+            measurements=np.asarray(request.measurements, dtype=float).tolist(),
             sigma=sigma,
             lam=None if request.lam is None else float(request.lam),
             lambda_method=request.lambda_method,
             lambda_grid=(
                 None
                 if request.lambda_grid is None
-                else [float(v) for v in np.asarray(request.lambda_grid, dtype=float)]
+                else np.asarray(request.lambda_grid, dtype=float).tolist()
             ),
             seed=None if rng is None else int(rng),
             config=request.config,
@@ -325,7 +354,15 @@ class WireResult:
 
     def to_payload(self) -> dict:
         """Plain JSON-serialisable dict of this result."""
-        return asdict(self)
+        return {
+            "coefficients": list(self.coefficients),
+            "lam": self.lam,
+            "solver_converged": self.solver_converged,
+            "solver_iterations": self.solver_iterations,
+            "mean_cycle_time": self.mean_cycle_time,
+            "tag": self.tag,
+            "diagnostics": None if self.diagnostics is None else dict(self.diagnostics),
+        }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "WireResult":
@@ -363,7 +400,7 @@ class WireResult:
                 "roughness": float(result.roughness),
             }
         return cls(
-            coefficients=[float(v) for v in np.asarray(result.coefficients, dtype=float)],
+            coefficients=np.asarray(result.coefficients, dtype=float).tolist(),
             lam=float(result.lam),
             solver_converged=bool(result.solver_converged),
             solver_iterations=int(result.solver_iterations),
@@ -388,7 +425,11 @@ class WireHello:
 
     def to_payload(self) -> dict:
         """Plain JSON-serialisable dict of this hello."""
-        return asdict(self)
+        return {
+            "versions": list(self.versions),
+            "server": self.server,
+            "max_inflight": self.max_inflight,
+        }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "WireHello":
@@ -438,7 +479,14 @@ class WireError:
 
     def to_payload(self) -> dict:
         """Plain JSON-serialisable dict of this error."""
-        return asdict(self)
+        return {
+            "code": self.code,
+            "message": self.message,
+            "http_status": self.http_status,
+            "transient": self.transient,
+            "details": dict(self.details),
+            "tag": self.tag,
+        }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "WireError":

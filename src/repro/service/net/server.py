@@ -20,10 +20,15 @@ Routes (schema v1):
 
 Two properties are load-bearing and regression-tested:
 
-* **Thread bridge** — the scheduler's futures are thread-backed;
-  the server submits through a small executor (so intake backpressure
-  never blocks the event loop) and awaits them via
-  ``asyncio.wrap_future``.  Responses stay bit-identical to in-process
+* **Thread bridge** — the scheduler's futures are thread-backed.  A fit
+  is submitted straight from the event loop with ``timeout=0``, which
+  never blocks: validation, the cache lookup and the enqueue run inline,
+  with no thread handoff.  Only when that raises :class:`queue.Full`
+  (intake full, or a bulk producer holding the accept lock) does the
+  submit move to a small executor and ride the backpressure there for up
+  to ``submit_timeout_s``, so the loop keeps serving other connections.
+  Batch submits always take the executor.  Futures are awaited via
+  ``asyncio.wrap_future``; responses stay bit-identical to in-process
   ``scheduler.submit`` calls.
 * **Slow-consumer backpressure** — each stream connection has a bounded
   in-flight window (semaphore) released only after its response bytes are
@@ -173,9 +178,10 @@ class FitServer:
         self._stream_ids = 0
         self._peak_stream_inflight = 0
         self._lock = threading.Lock()
-        # Submits may block on scheduler intake backpressure; a dedicated
-        # executor keeps that off the event loop.  Two threads suffice: the
-        # queue behind them preserves arrival order under overload.
+        # Submits that would block on scheduler intake backpressure (and
+        # every batch submit) run here, off the event loop.  Two threads
+        # suffice: the queue behind them preserves arrival order under
+        # overload.
         self._submit_executor = ThreadPoolExecutor(
             max_workers=2, thread_name_prefix="repro-net-submit"
         )
@@ -229,12 +235,20 @@ class FitServer:
     # ------------------------------------------------------------------
 
     async def _submit(self, wire: WireFit):
-        """Submit one request off-loop and await its thread-backed future."""
+        """Submit one request and await its thread-backed future.
+
+        The non-blocking submit runs on the loop itself; only intake
+        backpressure sends it to the executor, which waits for room for up
+        to ``submit_timeout_s`` before the ``queue.Full`` becomes a 429.
+        """
         request = wire.to_request()
-        future = await self._loop.run_in_executor(
-            self._submit_executor,
-            lambda: self.scheduler.submit(request, timeout=self.submit_timeout_s),
-        )
+        try:
+            future = self.scheduler.submit(request, timeout=0)
+        except queue.Full:
+            future = await self._loop.run_in_executor(
+                self._submit_executor,
+                lambda: self.scheduler.submit(request, timeout=self.submit_timeout_s),
+            )
         return await asyncio.wrap_future(future)
 
     async def _solve_frame(self, frame_id: str | None, wire: WireFit) -> Frame:

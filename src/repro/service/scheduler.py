@@ -103,7 +103,8 @@ class FitRequest:
       already exceeds it, and the solve path drops it with
       :class:`~repro.service.errors.DeadlineExceeded` if it ages out before
       its solve starts.  ``None`` means no deadline (never shed, never
-      dropped).
+      dropped); a negative or non-finite value fails admission with
+      ``ValueError``.
 
     Both hints steer *scheduling only*: they are excluded from
     :meth:`batch_key` and :meth:`fingerprint`, so mixed-priority traffic
@@ -259,6 +260,7 @@ def _invalid_request(request: FitRequest) -> ValueError | None:
         measurements = np.asarray(request.measurements, dtype=float)
         times = np.asarray(request.times, dtype=float)
         lam = None if request.lam is None else float(request.lam)
+        deadline = None if request.deadline_ms is None else float(request.deadline_ms)
     except (TypeError, ValueError) as exc:
         return ValueError(f"invalid fit request: {exc}")
     if measurements.ndim != 1 or measurements.shape != times.shape:
@@ -270,6 +272,9 @@ def _invalid_request(request: FitRequest) -> ValueError | None:
         return ValueError("measurements must be finite")
     if lam is not None and not (math.isfinite(lam) and lam >= 0.0):
         return ValueError(f"lam must be None or finite and >= 0, got {lam!r}")
+    if deadline is not None and not (math.isfinite(deadline) and deadline >= 0.0):
+        # Not a shed: no amount of retrying makes such a budget feasible.
+        return ValueError(f"deadline_ms must be None or finite and >= 0, got {deadline!r}")
     return None
 
 
@@ -434,14 +439,19 @@ class MicroBatchScheduler:
         """Queue one request; returns a future resolving to its result.
 
         A malformed request (non-finite or mis-shaped measurements, a
-        negative or non-finite ``lam``) fails its own future with
-        ``ValueError`` and is never queued.  Cache hits resolve immediately
-        without entering the queue.  A request with a ``deadline_ms`` the
-        service cannot meet is shed up front: its future fails with
-        :class:`~repro.service.errors.RequestShed` and nothing is queued.
-        When the intake queue is full the call blocks (backpressure) until
-        space frees, or raises :class:`queue.Full` after ``timeout`` seconds
-        if a timeout is given.  Raises :class:`RuntimeError` after
+        negative or non-finite ``lam`` or ``deadline_ms``) fails its own
+        future with ``ValueError`` and is never queued.  Cache hits resolve
+        immediately without entering the queue.  A request with a
+        ``deadline_ms`` the service cannot meet is shed up front: its future
+        fails with :class:`~repro.service.errors.RequestShed` and nothing is
+        queued.  When the intake queue is full the call blocks
+        (backpressure) until space frees, or raises :class:`queue.Full`
+        after ``timeout`` seconds if a timeout is given.  ``timeout=0``
+        never blocks: if the intake is full, or another producer holds the
+        accept lock (a ``submit_many`` blocked mid-list), it raises
+        :class:`queue.Full` at once and queues nothing — the event-loop
+        submit of the network edge relies on this.  Raises
+        :class:`RuntimeError` after
         :meth:`shutdown` and :class:`~repro.service.errors.SchedulerCrashed`
         after a batcher crash (for cached and uncached content alike).
         """
@@ -468,11 +478,15 @@ class MicroBatchScheduler:
             future.set_exception(shed)
             return future
         item = _make_item(request, future, time.perf_counter(), cache_key)
-        with self._accept_lock:
+        if not self._accept_lock.acquire(blocking=timeout != 0):
+            raise queue.Full
+        try:
             self._check_open()
             self._queue.put([item], timeout=timeout)
             with self._outstanding_cond:
                 self._outstanding += 1
+        finally:
+            self._accept_lock.release()
         self.telemetry.increment("requests")
         return future
 

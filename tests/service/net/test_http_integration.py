@@ -8,12 +8,20 @@ data while fit traffic is in flight.
 """
 
 import concurrent.futures
+import contextlib
 import threading
+import time
 
 import pytest
 
 from repro import backends
-from repro.service import IntakeOverflow, max_coefficient_gap, serial_reference
+from repro.service import (
+    IntakeOverflow,
+    MicroBatchScheduler,
+    SessionPool,
+    max_coefficient_gap,
+    serial_reference,
+)
 from repro.service.net import (
     FitHTTPClient,
     Frame,
@@ -21,6 +29,7 @@ from repro.service.net import (
     WireFit,
     WireResult,
     decode_frame,
+    serve_in_thread,
 )
 
 NUM_CLIENTS = 4
@@ -179,6 +188,23 @@ class TestTypedErrorsOverTheWire:
         assert counters.get("breaker_trips", 0) == 0
         assert counters.get("degraded_requests", 0) == 0
 
+    @pytest.mark.parametrize(
+        "field, value", [("include_diagnostics", "false"), ("deadline_ms", -1.0)]
+    )
+    def test_invalid_wire_fields_answer_400_not_a_retry_hint(
+        self, live_server, net_workload, field, value
+    ):
+        payload = WireFit.from_request(net_workload[0]).to_payload()
+        payload[field] = value
+        with FitHTTPClient(live_server.host, live_server.port) as client:
+            status, data = client._round_trip(
+                "POST", "/v1/fit", Frame("fit", payload).encode()
+            )
+        reply = decode_frame(data)
+        assert status == 400
+        assert reply.payload["code"] == "bad_request"
+        assert reply.payload["transient"] is False
+
     def test_partial_batch_overflow_contract(self, live_server, net_workload):
         # An empty batch stays a valid (trivially complete) batch.
         with FitHTTPClient(live_server.host, live_server.port) as client:
@@ -195,3 +221,102 @@ class TestTypedErrorsOverTheWire:
         exc = frame_to_error(frame)
         assert isinstance(exc, IntakeOverflow)
         assert exc.transient
+
+
+@contextlib.contextmanager
+def stalled_server(net_factory, workload, submit_timeout_s):
+    """A live server over a one-slot intake that its stalled shard keeps full.
+
+    Holding the scheduler's shard lock blocks the batcher inside its first
+    dispatch, so after two in-process submits the ``max_queue=1`` intake is
+    full and any further submit meets backpressure.  Yields ``(handle,
+    release)``; ``release()`` lets the pipeline drain.
+    """
+    threads_before = set(threading.enumerate())
+    scheduler = MicroBatchScheduler(
+        SessionPool(net_factory), max_batch=1, max_queue=1, max_wait_ms=60_000.0
+    )
+    handle = serve_in_thread(scheduler, submit_timeout_s=submit_timeout_s)
+    scheduler._shard_lock.acquire()
+    held = [True]
+
+    def release():
+        if held[0]:
+            held[0] = False
+            scheduler._shard_lock.release()
+
+    try:
+        scheduler.submit(workload[0])
+        deadline = time.perf_counter() + 5.0
+        while scheduler.queue_depth() > 0 and time.perf_counter() < deadline:
+            time.sleep(0.001)  # the batcher takes the first item, then blocks
+        scheduler.submit(workload[1])  # fills the one slot
+        assert scheduler.queue_depth() == 1
+        yield handle, release
+    finally:
+        release()
+        handle.close()
+        scheduler.shutdown()
+    leaked = [
+        thread.name
+        for thread in threading.enumerate()
+        if thread not in threads_before and thread.is_alive() and thread.name.startswith("repro-")
+    ]
+    assert not leaked, f"threads leaked past server teardown: {leaked}"
+
+
+class TestEventLoopNeverBlocksOnBackpressure:
+    """A fit that meets a full intake waits off the loop, for ``submit_timeout_s``."""
+
+    def _post_in_thread(self, handle, wire):
+        reply: dict = {}
+
+        def post():
+            with FitHTTPClient(handle.host, handle.port) as client:
+                reply["status"], reply["data"] = client._round_trip(
+                    "POST", "/v1/fit", Frame("fit", wire.to_payload()).encode()
+                )
+
+        thread = threading.Thread(target=post)
+        thread.start()
+        telemetry = handle.server.telemetry
+        deadline = time.perf_counter() + 10.0
+        while telemetry.counter("net_route_fit") < 1 and time.perf_counter() < deadline:
+            time.sleep(0.001)
+        return thread, reply
+
+    def test_healthz_answers_while_a_fit_waits_then_the_fit_succeeds(
+        self, net_factory, net_workload
+    ):
+        wire = WireFit.from_request(net_workload[2])
+        with stalled_server(net_factory, net_workload, submit_timeout_s=30.0) as (
+            handle,
+            release,
+        ):
+            thread, reply = self._post_in_thread(handle, wire)
+            with FitHTTPClient(handle.host, handle.port, timeout=5.0) as ops:
+                health = ops.healthz()
+            assert health["status"] == "ok" and health["queued"] == 1
+            assert thread.is_alive() and not reply  # the fit is still waiting
+            release()
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        assert reply["status"] == 200
+        result = WireResult.from_payload(decode_frame(reply["data"]).payload)
+        reference = serial_reference(net_factory("reference"), [net_workload[2]])
+        assert max_coefficient_gap([result], reference) <= 1e-10
+        assert result.lam == reference[0].lam
+
+    def test_stall_beyond_submit_timeout_answers_429(self, net_factory, net_workload):
+        wire = WireFit.from_request(net_workload[2])
+        with stalled_server(net_factory, net_workload, submit_timeout_s=0.3) as (handle, _):
+            thread, reply = self._post_in_thread(handle, wire)
+            with FitHTTPClient(handle.host, handle.port, timeout=5.0) as ops:
+                assert ops.healthz()["status"] == "ok"
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+            assert handle.server.scheduler.outstanding() == 2  # nothing was queued
+        frame = decode_frame(reply["data"])
+        assert reply["status"] == 429
+        assert frame.payload["code"] == "intake_overflow"
+        assert frame.payload["transient"] is True

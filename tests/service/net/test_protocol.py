@@ -321,3 +321,73 @@ class TestFitValidation:
         )
         with pytest.raises(ProtocolError):
             WireFit.from_request(request)
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [], {}])
+    def test_include_diagnostics_must_be_a_json_boolean(self, value):
+        # bool("false") is True: coercing would turn diagnostics *on*.
+        with pytest.raises(ProtocolError):
+            WireFit.from_payload(
+                {"times": [1.0], "measurements": [1.0], "include_diagnostics": value}
+            )
+
+    @pytest.mark.parametrize("value", [False, True])
+    def test_include_diagnostics_booleans_travel(self, value):
+        wire = WireFit.from_payload(
+            {"times": [1.0], "measurements": [1.0], "include_diagnostics": value}
+        )
+        assert wire.include_diagnostics is value
+        assert WireFit.from_payload({"times": [1.0], "measurements": [1.0]}).include_diagnostics is False
+
+    @pytest.mark.parametrize(
+        "text", ['-1.0', '-1e-9', 'Infinity', '-Infinity', 'NaN'],
+    )
+    def test_impossible_deadlines_are_bad_requests(self, text):
+        # Python's json decoder accepts the non-standard Infinity/NaN
+        # literals, so they can reach from_payload off the wire.
+        payload = decode_frame(
+            '{"v": 1, "kind": "fit", "payload": {"times": [1.0], '
+            f'"measurements": [1.0], "deadline_ms": {text}}}}}'
+        ).payload
+        with pytest.raises(ProtocolError) as excinfo:
+            WireFit.from_payload(payload)
+        assert error_to_frame(excinfo.value).http_status == 400
+        assert not excinfo.value.transient
+
+    def test_zero_deadline_is_still_accepted(self):
+        wire = WireFit.from_payload({"times": [1.0], "measurements": [1.0], "deadline_ms": 0})
+        assert wire.deadline_ms == 0.0
+
+
+class TestExplicitPayloads:
+    """``to_payload`` builds fresh dicts and lists, never views of the object."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(wire=wire_fits())
+    def test_fit_payload_keys_are_the_schema(self, wire):
+        payload = wire.to_payload()
+        assert list(payload) == list(WireFit.__dataclass_fields__)
+        assert payload["times"] == wire.times and payload["times"] is not wire.times
+        assert payload["measurements"] is not wire.measurements
+        if isinstance(wire.sigma, list):
+            assert payload["sigma"] == wire.sigma and payload["sigma"] is not wire.sigma
+
+    @settings(max_examples=40, deadline=None)
+    @given(result=wire_results(), error=wire_errors(), hello=wire_hellos())
+    def test_payload_keys_are_the_schema(self, result, error, hello):
+        for obj, listed in ((result, "coefficients"), (error, "details"), (hello, "versions")):
+            payload = obj.to_payload()
+            assert list(payload) == list(type(obj).__dataclass_fields__)
+            assert payload[listed] == getattr(obj, listed)
+            assert payload[listed] is not getattr(obj, listed)
+
+    def test_request_bridge_floats_are_bit_exact(self):
+        values = np.array([0.1, -0.0, 1e-308, 5e-324, np.pi, 2.0**53 + 1])
+        request = FitRequest(times=values, measurements=values[::-1], sigma=values + 1.0)
+        wire = WireFit.from_request(request)
+        for encoded, source in (
+            (wire.times, values),
+            (wire.measurements, values[::-1]),
+            (wire.sigma, values + 1.0),
+        ):
+            assert all(type(v) is float for v in encoded)
+            assert struct.pack(f"{len(source)}d", *encoded) == source.tobytes()

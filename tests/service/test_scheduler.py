@@ -116,20 +116,29 @@ def _malformed(request, kind):
     """A copy of ``request`` broken in one way the admission check rejects."""
     measurements = request.measurements.copy()
     lam = request.lam
+    deadline_ms = request.deadline_ms
     if kind == "nan":
         measurements[1] = np.nan
     elif kind == "short":
         measurements = measurements[:-1]
+    elif kind == "negative_deadline":
+        deadline_ms = -5.0
+    elif kind == "infinite_deadline":
+        deadline_ms = float("inf")
     else:
         lam = -1e-3
     # Every other field is kept, so the bad request coalesces with its
     # neighbours' batch key whenever its shape allows.
-    return dataclasses.replace(request, measurements=measurements, lam=lam)
+    return dataclasses.replace(
+        request, measurements=measurements, lam=lam, deadline_ms=deadline_ms
+    )
 
 
 class TestMalformedRequestsFailAlone:
     @pytest.mark.parametrize("intake", ["submit", "submit_many"])
-    @pytest.mark.parametrize("kind", ["nan", "short", "negative_lam"])
+    @pytest.mark.parametrize(
+        "kind", ["nan", "short", "negative_lam", "negative_deadline", "infinite_deadline"]
+    )
     def test_invalid_request_does_not_fail_its_neighbours(
         self, factory, workload, kind, intake
     ):
@@ -146,6 +155,8 @@ class TestMalformedRequestsFailAlone:
             scheduler.drain(timeout=60.0)
             counters = scheduler.telemetry.snapshot()["counters"]
         for position in bad_positions:
+            # A ValueError (HTTP 400), never a transient RequestShed: an
+            # impossible deadline is the client's fault and retrying cannot help.
             with pytest.raises(ValueError):
                 futures[position].result(timeout=0)
         valid = [i for i in range(len(requests)) if i not in bad_positions]
@@ -247,6 +258,53 @@ class TestLifecycle:
             scheduler._shard_lock.release()
         scheduler.shutdown(drain=True)
         assert all(future.done() and not future.cancelled() for future in futures)
+
+    def test_zero_timeout_never_waits_for_a_blocked_bulk_producer(
+        self, factory, workload
+    ):
+        pool = SessionPool(factory)
+        scheduler = MicroBatchScheduler(pool, max_batch=1, max_queue=1, max_wait_ms=60_000.0)
+        scheduler._shard_lock.acquire()  # stalls the batcher in its first dispatch
+        try:
+            first = scheduler.submit(workload[0])
+            deadline = time.perf_counter() + 5.0
+            while scheduler.queue_depth() > 0 and time.perf_counter() < deadline:
+                time.sleep(0.001)
+            bulk: list = []
+            producer = threading.Thread(
+                target=lambda: bulk.extend(scheduler.submit_many(workload[1:4]))
+            )
+            producer.start()  # one request fits, then it blocks holding the accept lock
+            while scheduler.outstanding() < 2 and time.perf_counter() < deadline:
+                time.sleep(0.001)
+            time.sleep(0.02)
+            assert scheduler.outstanding() == 2 and producer.is_alive()
+            raised: list = []
+
+            def probe():
+                try:
+                    scheduler.submit(workload[5], timeout=0)
+                except queue.Full as exc:
+                    raised.append(exc)
+
+            started = time.perf_counter()
+            prober = threading.Thread(target=probe)
+            prober.start()
+            prober.join(timeout=2.0)
+            elapsed = time.perf_counter() - started
+            assert not prober.is_alive(), "submit(timeout=0) blocked on the accept lock"
+            assert len(raised) == 1 and not isinstance(raised[0], IntakeOverflow)
+            assert elapsed < 1.0
+            assert scheduler.outstanding() == 2
+            assert scheduler.queue_depth() == 1
+        finally:
+            scheduler._shard_lock.release()
+        producer.join(timeout=30.0)
+        assert not producer.is_alive()
+        scheduler.shutdown(drain=True)
+        assert first.result(timeout=30) is not None
+        assert all(future.result(timeout=30) is not None for future in bulk)
+        assert scheduler.outstanding() == 0
 
     def test_intake_bound_counts_requests_not_entries(self, factory, workload):
         pool = SessionPool(factory)
