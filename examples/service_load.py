@@ -5,8 +5,9 @@
 * a `SessionPool` shards warm `FitSession`s by deconvolver configuration
   (LRU-bounded, so a service over many experiments stays within budget);
 * a `MicroBatchScheduler` accepts requests from many producer threads,
-  coalesces compatible ones within a small time/size window and solves each
-  batch as one stacked multi-RHS `fit_many(engine="batch")` call;
+  solves at once on an idle shard, coalesces compatible requests that queue
+  up while a shard is busy, and solves each batch as one stacked multi-RHS
+  `fit_many(engine="batch")` call;
 * a content-addressed `ResultCache` answers bit-exact repeats in O(lookup);
 * `Telemetry` records counters plus latency / batch-size histograms.
 
@@ -59,7 +60,7 @@ def main() -> None:
         WorkloadSpec(num_requests=REQUESTS, repeat_ratio=0.25, selection_fraction=0.1, seed=7),
     )
 
-    with MicroBatchScheduler(pool, max_batch=16, max_wait_ms=1.0, workers=2) as scheduler:
+    with MicroBatchScheduler(pool, max_batch=16, workers=2) as scheduler:
         # Warm pass (kernel registration, assembly, factorizations), then
         # reset the metrics so the report covers only the measured window.
         scheduler.map(workload)

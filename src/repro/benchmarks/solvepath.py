@@ -535,7 +535,7 @@ def run_solvepath_benchmark(
         ),
     )
     scheduler = MicroBatchScheduler(
-        SessionPool(service_factory), max_batch=64, max_wait_ms=0.2, workers=2
+        SessionPool(service_factory), max_batch=64, workers=2
     )
     scheduler.map(workload)  # warm the pool's kernels/assembly/factorizations
 
@@ -580,7 +580,7 @@ def run_solvepath_benchmark(
     slo_scenario = SCENARIOS["hotkey"]
     slo_workload = apply_scenario(workload, slo_scenario, seed=23)
     slo_scheduler = MicroBatchScheduler(
-        SessionPool(service_factory), max_batch=64, max_wait_ms=0.2, workers=2
+        SessionPool(service_factory), max_batch=64, workers=2
     )
 
     def run_service_slo() -> None:

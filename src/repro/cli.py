@@ -114,7 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--selection-fraction", type=float, default=0.05,
                        help="fraction of fresh requests using automatic lambda selection")
     serve.add_argument("--max-batch", type=int, default=64, help="scheduler batch size bound")
-    serve.add_argument("--max-wait-ms", type=float, default=0.2, help="scheduler batching window")
     serve.add_argument("--workers", type=int, default=2, help="scheduler worker threads")
     serve.add_argument(
         "--scenario",
@@ -149,7 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
     server.add_argument("--grids", type=int, default=2,
                         help="distinct measurement time grids to register")
     server.add_argument("--max-batch", type=int, default=64, help="scheduler batch size bound")
-    server.add_argument("--max-wait-ms", type=float, default=0.2, help="scheduler batching window")
     server.add_argument("--workers", type=int, default=2, help="scheduler worker threads")
     server.add_argument("--max-inflight", type=int, default=config.DEFAULT_STREAM_WINDOW,
                         help="per-connection in-flight window of the streaming route")
@@ -319,7 +317,6 @@ def _run_serve_bench(args: argparse.Namespace) -> int:
     with MicroBatchScheduler(
         pool,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         workers=args.workers,
     ) as scheduler:
         # Warm both paths so the timed passes measure the steady-state
@@ -396,7 +393,6 @@ def _run_serve_bench_http(args: argparse.Namespace, workload, pool, reference) -
     with MicroBatchScheduler(
         pool,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         workers=args.workers,
     ) as scheduler:
         with serve_in_thread(scheduler) as handle:
@@ -489,7 +485,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     with MicroBatchScheduler(
         pool,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         workers=args.workers,
     ) as scheduler:
         try:
@@ -556,7 +551,6 @@ def _run_serve_scenarios(args: argparse.Namespace, kernels, factory) -> int:
         with MicroBatchScheduler(
             pool,
             max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
             workers=args.workers,
             fault_plan=plan,
         ) as scheduler:

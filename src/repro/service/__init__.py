@@ -5,17 +5,18 @@ long-lived runtime for concurrent deconvolution traffic:
 
 * :class:`~repro.service.pool.SessionPool` — fit sessions sharded by
   deconvolver configuration, LRU-bounded by entry count / approximate bytes;
-* :class:`~repro.service.scheduler.MicroBatchScheduler` — bounded-queue
-  intake from many producer threads, time/size-windowed coalescing into
-  stacked multi-RHS solves, futures for responses, graceful drain/shutdown;
+* :class:`~repro.service.scheduler.MicroBatchScheduler` — bounded intake
+  from many producer threads, idle shards dispatching at once, busy shards
+  coalescing what queues up during a solve into stacked multi-RHS solves,
+  futures for responses, graceful drain/shutdown;
 * :class:`~repro.service.cache.ResultCache` — content-addressed result
   cache answering bit-exact repeats in O(lookup);
 * :class:`~repro.service.telemetry.Telemetry` — counters plus latency and
   batch-size histograms with a ``snapshot()`` dict;
 * :mod:`~repro.service.errors` — the typed error taxonomy every accepted
   request terminates in (shed, deadline-missed, crashed, overflowed);
-* :mod:`~repro.service.robustness` — retry policy, per-shard circuit
-  breaker and the adaptive micro-batching window;
+* :mod:`~repro.service.robustness` — retry policy and per-shard circuit
+  breaker;
 * :mod:`~repro.service.faults` — deterministic seeded fault injection
   behind the solve/build/cache boundaries for the chaos scenario suite;
 * :mod:`~repro.service.loadgen` — deterministic seeded workload generation
@@ -49,14 +50,13 @@ from repro.service.loadgen import (
     warm_serial_reference,
 )
 from repro.service.pool import PoolEntry, SessionFactory, SessionPool
-from repro.service.robustness import AdaptiveWindow, CircuitBreaker, RetryPolicy
+from repro.service.robustness import CircuitBreaker, RetryPolicy
 from repro.service.scheduler import DEFAULT_CONFIG_KEY, FitRequest, MicroBatchScheduler
 from repro.service.telemetry import Histogram, Telemetry
 
 __all__ = [
     "DEFAULT_CONFIG_KEY",
     "SCENARIOS",
-    "AdaptiveWindow",
     "CircuitBreaker",
     "DeadlineExceeded",
     "FaultPlan",

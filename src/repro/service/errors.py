@@ -88,10 +88,11 @@ class DeadlineExceeded(ServiceError):
 
 
 class SchedulerCrashed(ServiceError):
-    """The batcher died; the service is permanently down.
+    """A shard runner died; the service is permanently down.
 
-    Every queued and pending future is failed with this error when the
-    batcher thread crashes, and every later :meth:`submit` raises it
+    Every queued future on every shard is failed with this error when a
+    shard runner's loop crashes outside a batch, and every later
+    :meth:`submit` raises it
     immediately — nothing hangs waiting on a thread that no longer exists.
     The original exception rides along as ``__cause__``.
     """

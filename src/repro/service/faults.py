@@ -8,7 +8,8 @@ pool/scheduler boundaries and this module drives them from one seeded plan:
   :class:`InjectedFault` before touching the session (exercises the retry
   policy, circuit breaker and degraded serial path);
 * ``slow_solve`` — the solve is delayed by ``slow_solve_ms`` (exercises
-  deadline misses, admission-control shedding and the adaptive window);
+  deadline misses, admission-control shedding and coalescing behind a
+  busy shard);
 * ``session_build`` — the pool factory raises while building a shard
   (exercises lease retries and error propagation to queued futures);
 * ``cache_eviction`` — stored results are randomly evicted (exercises

@@ -281,7 +281,7 @@ class Scenario:
         Closed-loop client window: with a positive value the driver keeps at
         most this many submitted-but-unconsumed responses outstanding,
         waiting on the oldest before submitting more — a *slow consumer*.
-        Small windows starve the batcher of coalescing opportunities and
+        Small windows starve the runners of coalescing opportunities and
         keep response payloads parked until the client drains, exercising
         the backpressure path end to end.  ``0`` (default) is a fully open loop.
     faults:

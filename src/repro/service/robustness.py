@@ -1,6 +1,6 @@
 """Failure-containment primitives for the fit service runtime.
 
-Three small, independently testable pieces the scheduler composes into its
+Two small, independently testable pieces the scheduler composes into its
 robust solve path:
 
 * :class:`RetryPolicy` — bounded retries with exponential backoff and
@@ -10,24 +10,18 @@ robust solve path:
   ``failure_threshold`` consecutive solve/build failures the fast batched
   path is considered broken and traffic routes to the degraded serial
   reference path until a half-open probe succeeds.
-* :class:`AdaptiveWindow` — tunes the scheduler's micro-batching window
-  from observed solve latency: when solves are much faster than the
-  configured ``max_wait_ms`` the window shrinks (waiting would dominate
-  latency); it never grows beyond the configured bound, so the configured
-  ``max_wait_ms`` stays a hard latency ceiling.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["AdaptiveWindow", "CircuitBreaker", "RetryPolicy"]
+__all__ = ["CircuitBreaker", "RetryPolicy"]
 
 
 def _default_retryable(exc: BaseException) -> bool:
@@ -163,82 +157,3 @@ class CircuitBreaker:
                     self.trips += 1
                 return tripped
             return False
-
-
-def _percentile_95(samples) -> float:
-    """``np.percentile(samples, 95)`` (linear method), bit for bit.
-
-    Sorting a reservoir of a few dozen floats in pure Python costs a few
-    microseconds, an order of magnitude less than the NumPy call's array
-    conversion and dispatch.  The interpolation mirrors NumPy's exactly,
-    including its switch to interpolating down from the upper neighbour
-    once the fractional weight reaches one half.
-    """
-    ordered = sorted(samples)
-    position = (len(ordered) - 1) * 0.95
-    lower = int(position)
-    if lower >= len(ordered) - 1:
-        return ordered[-1]
-    weight = position - lower
-    below, above = ordered[lower], ordered[lower + 1]
-    if weight >= 0.5:
-        return above - (above - below) * (1 - weight)
-    return below + (above - below) * weight
-
-
-class AdaptiveWindow:
-    """Micro-batching window tuned from observed solve latency.
-
-    The effective window is ``clamp(fraction * p95(solve_seconds), floor,
-    base)`` over a bounded reservoir of recent per-batch solve durations:
-    when solves take much longer than the configured window, nothing
-    changes (coalescing while a solve runs is free); when solves are *fast*
-    relative to the configured window, waiting the full window would
-    dominate end-to-end latency, so the window shrinks toward the solve
-    scale.  The configured ``base`` is a hard ceiling — adaptation never
-    makes latency worse than the static configuration.
-
-    Parameters
-    ----------
-    base_seconds:
-        The configured ``max_wait_ms`` bound (the ceiling).
-    fraction:
-        Target window as a fraction of the observed p95 solve duration.
-    floor_seconds:
-        Lower clamp (``0`` allows fully greedy dispatch under fast solves).
-    max_samples:
-        Reservoir bound; older solve durations age out.
-    """
-
-    def __init__(
-        self,
-        base_seconds: float,
-        *,
-        fraction: float = 0.5,
-        floor_seconds: float = 0.0,
-        max_samples: int = 64,
-    ) -> None:
-        self.base_seconds = float(base_seconds)
-        self.fraction = float(fraction)
-        self.floor_seconds = float(floor_seconds)
-        self._samples: deque[float] = deque(maxlen=int(max_samples))
-        self._lock = threading.Lock()
-        self._current = float(base_seconds)
-
-    def observe(self, solve_seconds: float) -> None:
-        """Record one per-batch solve duration and retune the window.
-
-        The p95 is recomputed here (once per batch) so :meth:`current`
-        stays a lock-plus-load on the batcher's hot path.
-        """
-        with self._lock:
-            self._samples.append(float(solve_seconds))
-            p95 = _percentile_95(self._samples)
-            self._current = min(
-                self.base_seconds, max(self.floor_seconds, self.fraction * p95)
-            )
-
-    def current(self) -> float:
-        """The effective window in seconds (``base`` until first observation)."""
-        with self._lock:
-            return self._current

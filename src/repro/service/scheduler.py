@@ -3,39 +3,40 @@
 :class:`MicroBatchScheduler` is the concurrency layer of the fit service.
 Producer threads call :meth:`MicroBatchScheduler.submit` with a
 :class:`FitRequest` and immediately get a
-:class:`concurrent.futures.Future`; a dedicated batcher thread pulls
-requests off a bounded queue (the bound is the backpressure: producers block
-once the service is saturated), coalesces them by compatibility key — same
-configuration shard, measurement grid and fit options — within a
-``max_batch`` / ``max_wait_ms`` window, and dispatches each coalesced batch
-to a worker pool.  Workers push each batch through the shard deconvolver's
-``fit_many(engine="batch")`` against the shard session's warm caches —
-one stacked multi-RHS solve per distinct lambda, one shared GCV scoring
-pass for the whole batch — so the marginal cost per request is one gradient
-plus one row of a batched solve, while every response stays bit-identical
-(to 1e-10) to a direct :meth:`~repro.core.deconvolver.Deconvolver.fit`
-call (the session layer's tested guarantee).
+:class:`concurrent.futures.Future`.  The producer itself appends the request
+to its configuration shard's queue — a bound on the requests queued across
+all shards is the backpressure: producers block once the service is
+saturated — and starts the shard's runner on the worker pool when none is
+active.  An idle shard therefore solves a request at once, and a busy shard
+coalesces for free: when a solve ends, its runner takes everything queued
+meanwhile, merges it by compatibility key — same configuration shard,
+measurement grid and fit options — and splits it at ``max_batch``.  Each
+batch goes through the shard deconvolver's ``fit_many(engine="batch")``
+against the shard session's warm caches — one stacked multi-RHS solve per
+distinct lambda, one shared GCV scoring pass for the whole batch — so the
+marginal cost per request is one gradient plus one row of a batched solve,
+while every response stays bit-identical (to 1e-10) to a direct
+:meth:`~repro.core.deconvolver.Deconvolver.fit` call (the session layer's
+tested guarantee).
 
 The scheduler is SLO-aware and failure-contained:
 
-* Requests carry a ``priority`` and an optional ``deadline_ms``.  Pending
-  batches dispatch in priority order, admission control *sheds* requests
-  whose projected queue wait already exceeds their deadline budget
-  (:class:`~repro.service.errors.RequestShed`), requests that age out in
-  the queue are dropped with
+* Requests carry a ``priority`` and an optional ``deadline_ms``.  The
+  batches a runner takes together solve in priority order, admission
+  control *sheds* requests whose projected queue wait already exceeds their
+  deadline budget (:class:`~repro.service.errors.RequestShed`), and
+  requests that age out in the queue are dropped with
   :class:`~repro.service.errors.DeadlineExceeded` instead of solving stale
-  work, and the batching window adapts down from observed solve latency
-  (:class:`~repro.service.robustness.AdaptiveWindow`) so waiting never
-  dominates fast solves.
+  work.
 * Transient solve and session-build failures are retried under a
   :class:`~repro.service.robustness.RetryPolicy`; repeated failures trip a
   per-shard :class:`~repro.service.robustness.CircuitBreaker` that routes
   traffic to a *degraded* serial path (one plain ``fit`` per request —
   bit-exact, just slower) until a half-open probe heals the fast path.
-* A supervisor guarantees that no future ever hangs: if the batcher thread
-  dies, every queued and pending future fails with
+* A supervisor guarantees that no future ever hangs: if a shard runner's
+  loop fails outside a batch, every queued future on every shard fails with
   :class:`~repro.service.errors.SchedulerCrashed` and later submits raise
-  it immediately; if a shard runner dies mid-drain its batches fail with
+  it immediately; a batch whose own execution raises fails its items with
   the causing error.
 * An optional :class:`~repro.service.faults.FaultPlan` arms seeded fault
   injection at the solve boundary (solver errors, slow solves, cache
@@ -47,7 +48,7 @@ at submit time without ever entering the queue.  Counters and latency /
 batch-size histograms land in a
 :class:`~repro.service.telemetry.Telemetry` hub.  ``shutdown(drain=True)``
 (also the context-manager exit) completes everything queued before
-stopping; ``drain=False`` cancels whatever has not been dispatched yet.
+stopping; ``drain=False`` cancels whatever no runner has taken yet.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ import math
 import queue
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
@@ -74,7 +74,7 @@ from repro.service.errors import (
 )
 from repro.service.faults import FaultPlan
 from repro.service.pool import SessionPool
-from repro.service.robustness import AdaptiveWindow, CircuitBreaker, RetryPolicy
+from repro.service.robustness import CircuitBreaker, RetryPolicy
 from repro.service.telemetry import Telemetry
 from repro.utils.rng import SeedLike
 
@@ -82,9 +82,6 @@ __all__ = ["DEFAULT_CONFIG_KEY", "FitRequest", "MicroBatchScheduler"]
 
 #: Pool shard addressed by requests that do not name a configuration.
 DEFAULT_CONFIG_KEY = "default"
-
-#: Queue sentinel asking the batcher thread to flush and exit.
-_STOP = object()
 
 
 @dataclass
@@ -159,8 +156,8 @@ class FitRequest:
 class _QueuedItem:
     """A request in flight: the future to resolve and its timing/cache keys.
 
-    ``batch_key`` is computed once, by the producer; the batcher and the
-    shard runners only read it.
+    ``batch_key`` is computed once, by the producer; the shard runners only
+    read it.
     """
 
     request: FitRequest
@@ -170,82 +167,6 @@ class _QueuedItem:
     cache_key: str | None = field(default=None)
     deadline_at: float | None = field(default=None)
     settled: bool = field(default=False)
-
-
-class _Intake:
-    """FIFO of same-batch-key request groups, bounded by requests held.
-
-    Each entry is a non-empty list of :class:`_QueuedItem` sharing one batch
-    key (``submit`` enqueues a one-item list, ``submit_many`` one list per
-    batch key), so the batcher pays one handoff per group instead of one per
-    request.  The ``max_requests`` bound counts *requests*, not entries:
-    :meth:`put` enqueues the longest prefix of a group that fits, blocking
-    until at least one slot frees.  The stop sentinel is exempt from the
-    bound, and :meth:`unbound` lifts the bound for good (the crash path, so
-    a producer blocked mid-group can finish and have its items failed).
-    """
-
-    def __init__(self, max_requests: int) -> None:
-        self.max_requests = max_requests
-        self._entries: deque = deque()
-        self._requests = 0
-        self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
-
-    def qsize(self) -> int:
-        """Number of requests held (not entries)."""
-        return self._requests
-
-    def put(self, items: list, timeout: float | None = None) -> int:
-        """Enqueue the longest prefix of ``items`` that fits; returns its length.
-
-        Blocks while the intake is full; raises :class:`queue.Full` when no
-        slot frees within ``timeout`` seconds.
-        """
-        with self._not_full:
-            if not self._not_full.wait_for(
-                lambda: self._requests < self.max_requests, timeout
-            ):
-                raise queue.Full
-            accepted = min(len(items), self.max_requests - self._requests)
-            self._entries.append(items if accepted == len(items) else items[:accepted])
-            self._requests += accepted
-            self._not_empty.notify()
-            return accepted
-
-    def put_stop(self) -> None:
-        """Enqueue the stop sentinel behind everything accepted so far."""
-        with self._lock:
-            self._entries.append(_STOP)
-            self._not_empty.notify()
-
-    def get(self, timeout: float | None = None):
-        """Pop the oldest entry; raises :class:`queue.Empty` on timeout."""
-        with self._not_empty:
-            if not self._not_empty.wait_for(lambda: self._entries, timeout):
-                raise queue.Empty
-            return self._pop()
-
-    def get_nowait(self):
-        """Pop the oldest entry; raises :class:`queue.Empty` when there is none."""
-        with self._lock:
-            if not self._entries:
-                raise queue.Empty
-            return self._pop()
-
-    def _pop(self):
-        entry = self._entries.popleft()
-        if entry is not _STOP:
-            self._requests -= len(entry)
-            self._not_full.notify()
-        return entry
-
-    def unbound(self) -> None:
-        """Lift the bound and wake every blocked producer."""
-        with self._lock:
-            self.max_requests = math.inf
-            self._not_full.notify_all()
 
 
 def _invalid_request(request: FitRequest) -> ValueError | None:
@@ -294,19 +215,16 @@ class MicroBatchScheduler:
         The :class:`~repro.service.pool.SessionPool` whose shards serve the
         requests.
     max_batch:
-        Dispatch a coalesced batch as soon as it holds this many requests.
-    max_wait_ms:
-        Dispatch a partial batch once its oldest request has waited this
-        long — the latency bound of the micro-batching window.  With
-        ``adaptive_wait`` the *effective* window shrinks toward the
-        observed solve latency but never exceeds this bound.
+        The dispatch cap: a runner splits what it takes into batches of at
+        most this many requests.
     max_queue:
-        Bound of the intake queue, in requests; :meth:`submit` blocks once
-        it is full (backpressure) until the batcher catches up.
+        Bound on the requests queued for a runner, over all shards;
+        :meth:`submit` blocks once it is reached (backpressure) until the
+        runners catch up.
     workers:
         Size of the solve thread pool; defaults to
         :func:`repro.config.default_pool_size` for an unbounded task count.
-        Batches for one shard serialize on the shard lock, so workers buy
+        Each shard is drained by one runner at a time, so workers buy
         parallelism across shards.
     cache:
         Result cache; defaults to a fresh 1024-entry
@@ -325,10 +243,6 @@ class MicroBatchScheduler:
         breaker onto the degraded serial path.
     breaker_reset_s:
         Seconds a tripped breaker stays open before a half-open probe.
-    adaptive_wait:
-        Tune the effective batching window down from observed p95 solve
-        latency (never above ``max_wait_ms``).  ``False`` pins the window
-        to ``max_wait_ms`` exactly.
     fault_plan:
         Optional seeded :class:`~repro.service.faults.FaultPlan` arming the
         solver / slow-solve / cache-eviction injection points (session-build
@@ -340,7 +254,6 @@ class MicroBatchScheduler:
         pool: SessionPool,
         *,
         max_batch: int = 32,
-        max_wait_ms: float = 2.0,
         max_queue: int = 1024,
         workers: int | None = None,
         cache: ResultCache | None = None,
@@ -348,20 +261,17 @@ class MicroBatchScheduler:
         retry: RetryPolicy | None = None,
         breaker_threshold: int = 5,
         breaker_reset_s: float = 1.0,
-        adaptive_wait: bool = True,
         fault_plan: FaultPlan | None = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
         if max_queue < 1:
             raise ValueError("max_queue must be at least 1")
         if breaker_threshold < 1:
             raise ValueError("breaker_threshold must be at least 1")
         self.pool = pool
         self.max_batch = int(max_batch)
-        self.max_wait_seconds = float(max_wait_ms) / 1e3
+        self.max_queue = int(max_queue)
         self.cache = cache if cache is not None else ResultCache()
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.retry = retry if retry is not None else RetryPolicy()
@@ -371,35 +281,30 @@ class MicroBatchScheduler:
         self.workers = (
             int(workers) if workers is not None else config.default_pool_size(None)
         )
-        self._queue = _Intake(int(max_queue))
         self._accept_lock = threading.Lock()
         self._closed = False
-        self._discard = False
         self._crashed: SchedulerCrashed | None = None
         self._outstanding = 0
         self._outstanding_cond = threading.Condition()
-        self._window = AdaptiveWindow(self.max_wait_seconds) if adaptive_wait else None
-        # EWMA latency model feeding admission control and early dispatch:
-        # amortized solve seconds per request and per batch.  Plain float
-        # stores written by one worker at a time; readers tolerate staleness.
+        # EWMA of the amortized solve seconds per request, feeding admission
+        # control.  A plain float store written by one runner at a time;
+        # readers tolerate staleness.
         self._request_cost = 0.0
-        self._batch_cost = 0.0
         self._breaker_lock = threading.Lock()
         self._breakers: dict[Hashable, CircuitBreaker] = {}
-        # Batches are executed by per-shard runners: one worker drains one
-        # shard's batch queue end to end (holding the pool lease once), so
-        # consecutive batches of a shard never pay a thread handoff or fight
-        # over the shard lock.
+        # Each shard has a queue of same-key request groups and at most one
+        # active runner.  Producers append under the shard lock and start a
+        # runner only for an inactive shard; the runner takes the whole
+        # queue at once and deactivates atomically with finding it empty.
+        # ``_queued`` counts the requests in all queues against max_queue.
         self._shard_lock = threading.Lock()
-        self._shard_queues: dict[Hashable, list] = {}
+        self._not_full = threading.Condition(self._shard_lock)
+        self._shard_queues: dict[Hashable, list[list[_QueuedItem]]] = {}
         self._shard_active: set = set()
+        self._queued = 0
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-service-worker"
         )
-        self._batcher = threading.Thread(
-            target=self._batch_loop, name="repro-service-batcher", daemon=True
-        )
-        self._batcher.start()
 
     # ------------------------------------------------------------------
     # Producer side
@@ -411,21 +316,15 @@ class MicroBatchScheduler:
         if self._closed:
             raise RuntimeError("scheduler has been shut down")
 
-    def effective_wait_seconds(self) -> float:
-        """The batching window currently in force (adaptive or configured)."""
-        if self._window is not None:
-            return self._window.current()
-        return self.max_wait_seconds
-
     def projected_wait_seconds(self) -> float:
         """Admission-control queue-wait projection for a new request.
 
         The EWMA amortized solve cost per request times the number of
-        requests already in flight, plus the current batching window.  A
-        heuristic, deliberately cheap (two float loads) and conservative:
-        it assumes the new request queues behind everything outstanding.
+        requests already in flight.  A heuristic, deliberately cheap (two
+        float loads) and conservative: it assumes the new request queues
+        behind everything outstanding.
         """
-        return self._request_cost * self._outstanding + self.effective_wait_seconds()
+        return self._request_cost * self._outstanding
 
     def _shed_exception(self, request: FitRequest) -> RequestShed | None:
         if request.deadline_ms is None:
@@ -434,6 +333,31 @@ class MicroBatchScheduler:
         if projected <= float(request.deadline_ms):
             return None
         return RequestShed(projected, float(request.deadline_ms))
+
+    def _put(self, items: list[_QueuedItem], timeout: float | None) -> int:
+        """Queue the longest prefix of one same-key group that fits.
+
+        The caller holds ``_not_full`` (the shard lock).  Waits while the
+        request bound is reached and raises :class:`queue.Full` when no slot
+        frees within ``timeout`` seconds.  Starts the shard's runner when
+        the shard is inactive.  Returns the number of requests queued.
+        """
+        if not self._not_full.wait_for(lambda: self._queued < self.max_queue, timeout):
+            raise queue.Full
+        accepted = min(len(items), self.max_queue - self._queued)
+        shard = items[0].batch_key[0]
+        self._shard_queues.setdefault(shard, []).append(
+            items if accepted == len(items) else items[:accepted]
+        )
+        self._queued += accepted
+        # Counted before any runner can take them, so drain() never sees a
+        # zero while they are in flight.
+        with self._outstanding_cond:
+            self._outstanding += accepted
+        if shard not in self._shard_active and self._crashed is None:
+            self._shard_active.add(shard)
+            self._executor.submit(self._run_shard, shard)
+        return accepted
 
     def submit(self, request: FitRequest, *, timeout: float | None = None) -> Future:
         """Queue one request; returns a future resolving to its result.
@@ -444,16 +368,16 @@ class MicroBatchScheduler:
         immediately without entering the queue.  A request with a
         ``deadline_ms`` the service cannot meet is shed up front: its future
         fails with :class:`~repro.service.errors.RequestShed` and nothing is
-        queued.  When the intake queue is full the call blocks
-        (backpressure) until space frees, or raises :class:`queue.Full`
-        after ``timeout`` seconds if a timeout is given.  ``timeout=0``
-        never blocks: if the intake is full, or another producer holds the
-        accept lock (a ``submit_many`` blocked mid-list), it raises
-        :class:`queue.Full` at once and queues nothing — the event-loop
-        submit of the network edge relies on this.  Raises
-        :class:`RuntimeError` after
-        :meth:`shutdown` and :class:`~repro.service.errors.SchedulerCrashed`
-        after a batcher crash (for cached and uncached content alike).
+        queued.  When ``max_queue`` requests are already queued the call
+        blocks (backpressure) until space frees, or raises
+        :class:`queue.Full` after ``timeout`` seconds if a timeout is given.
+        ``timeout=0`` never blocks: if the queue is full, or another
+        producer holds the accept lock (a ``submit_many`` blocked
+        mid-list), it raises :class:`queue.Full` at once and queues nothing
+        — the event-loop submit of the network edge relies on this.  Raises
+        :class:`RuntimeError` after :meth:`shutdown` and
+        :class:`~repro.service.errors.SchedulerCrashed` after a runner crash
+        (for cached and uncached content alike).
         """
         self._check_open()
         future: Future = Future()
@@ -482,9 +406,8 @@ class MicroBatchScheduler:
             raise queue.Full
         try:
             self._check_open()
-            self._queue.put([item], timeout=timeout)
-            with self._outstanding_cond:
-                self._outstanding += 1
+            with self._not_full:
+                self._put([item], timeout)
         finally:
             self._accept_lock.release()
         self.telemetry.increment("requests")
@@ -497,21 +420,21 @@ class MicroBatchScheduler:
 
         Semantically ``[submit(r) for r in requests]`` (malformed requests
         fail alone, cache hits resolve immediately, deadline-infeasible
-        requests shed, the rest enter the batching queue in order within
-        each batch key) but the accept lock and telemetry are touched once
-        for the whole list and the intake receives one entry per batch key,
-        which matters for bulk producers feeding hundreds of requests at a
-        time.
+        requests shed, the rest are queued in order within each batch key)
+        but the accept lock, the shard lock and telemetry are taken once for
+        the whole list and each shard queue receives one group per batch
+        key, which matters for bulk producers feeding hundreds of requests
+        at a time.
 
         If a ``timeout`` is given and the queue stays full, the call raises
         :class:`~repro.service.errors.IntakeOverflow` (a
         :class:`queue.Full` subclass) carrying the explicit split: its
         ``accepted`` lists one future per accepted request in input order
-        (cache hits and enqueued requests — all of which are still
+        (cache hits and queued requests — all of which are still
         processed), its ``rejected`` lists, in input order, the requests
-        that never entered the queue.  The rejected requests' futures are
-        failed with the same overflow error, so nothing silently drops and
-        nothing hangs.
+        that were never queued.  The rejected requests' futures are failed
+        with the same overflow error, so nothing silently drops and nothing
+        hangs.
         """
         self._check_open()
         futures: list[Future] = []
@@ -547,17 +470,17 @@ class MicroBatchScheduler:
         try:
             with self._accept_lock:
                 self._check_open()
-                while pending:
-                    # Count each slice as it is accepted: if a put times out
-                    # mid-list, the already-enqueued items stay correctly
-                    # accounted and drain()/shutdown() still converge.
-                    accepted = self._queue.put(pending[0], timeout=timeout)
-                    with self._outstanding_cond:
-                        self._outstanding += accepted
-                    if accepted == len(pending[0]):
-                        pending.pop(0)
-                    else:
-                        pending[0] = pending[0][accepted:]
+                with self._not_full:
+                    while pending:
+                        # Each slice is counted as it is queued: if a wait
+                        # times out mid-list, the queued items stay
+                        # correctly accounted and drain()/shutdown() still
+                        # converge.
+                        accepted = self._put(pending[0], timeout)
+                        if accepted == len(pending[0]):
+                            pending.pop(0)
+                        else:
+                            pending[0] = pending[0][accepted:]
         except queue.Full:
             rejected_futures = {id(item.future) for group in pending for item in group}
             rejected_items = [item for item in queued if id(item.future) in rejected_futures]
@@ -612,22 +535,20 @@ class MicroBatchScheduler:
         """Stop the service.
 
         With ``drain=True`` (default) everything already accepted is solved
-        before the threads stop; with ``drain=False`` requests not yet
-        dispatched to a worker are cancelled (their futures end in the
-        cancelled state).  Idempotent; safe after a crash (the crash path
-        already resolved everything).
+        before the threads stop; with ``drain=False`` requests no runner has
+        taken yet are cancelled (their futures end in the cancelled state).
+        Idempotent; safe after a crash (the crash path already resolved
+        everything).
         """
         with self._accept_lock:
-            if self._closed:
-                if self._crashed is None:
-                    return
-            else:
-                self._closed = True
-                self._discard = not drain
-        self._queue.put_stop()
-        self._batcher.join(timeout)
+            if self._closed and self._crashed is None:
+                return
+            self._closed = True
         if drain:
             self.drain(timeout)
+        else:
+            for item in self._take_all():
+                self._cancel(item)
         self._executor.shutdown(wait=True)
 
     def __enter__(self) -> "MicroBatchScheduler":
@@ -643,12 +564,12 @@ class MicroBatchScheduler:
 
     @property
     def crashed(self) -> bool:
-        """``True`` when the batcher thread died and the service is down."""
+        """``True`` when a shard runner crashed and the service is down."""
         return self._crashed is not None
 
     def queue_depth(self) -> int:
-        """Number of accepted requests (not entries) waiting in the intake queue."""
-        return self._queue.qsize()
+        """Number of accepted requests waiting for a shard runner to take them."""
+        return self._queued
 
     def outstanding(self) -> int:
         """Number of accepted requests not yet resolved (queued + solving)."""
@@ -662,12 +583,10 @@ class MicroBatchScheduler:
         with self._breaker_lock:
             breakers = {repr(key): b.state for key, b in self._breakers.items()}
         return {
-            "queued": self._queue.qsize(),
+            "queued": self._queued,
             "outstanding": outstanding,
             "workers": self.workers,
             "max_batch": self.max_batch,
-            "max_wait_ms": self.max_wait_seconds * 1e3,
-            "effective_wait_ms": self.effective_wait_seconds() * 1e3,
             "request_cost_ms": self._request_cost * 1e3,
             "closed": self._closed,
             "crashed": self._crashed is not None,
@@ -678,142 +597,90 @@ class MicroBatchScheduler:
         }
 
     # ------------------------------------------------------------------
-    # Batcher thread
+    # Shard queues
     # ------------------------------------------------------------------
 
-    def _batch_loop(self) -> None:
-        pending: dict[tuple, list[_QueuedItem]] = {}
-        deadlines: dict[tuple, float] = {}
-        priorities: dict[tuple, int] = {}
+    def _take(self, shard: Hashable) -> list[list[_QueuedItem]] | None:
+        """Take every group queued for ``shard``.
 
-        def dispatch(key: tuple) -> None:
-            items = pending.pop(key)
-            deadlines.pop(key, None)
-            priorities.pop(key, None)
-            shard = key[0]
-            with self._shard_lock:
-                self._shard_queues.setdefault(shard, []).append(items)
-                if shard in self._shard_active:
-                    return
-                self._shard_active.add(shard)
-            self._executor.submit(self._run_shard, shard)
-
-        # Items of the entry being added that sit in no bucket yet; the
-        # crash path fails them along with the buckets.
-        unplaced: list[_QueuedItem] = []
-
-        def add(entry: list[_QueuedItem]) -> None:
-            # One intake entry holds requests of a single batch key; it is
-            # split at max_batch boundaries exactly as one-by-one arrival
-            # would be.
-            nonlocal unplaced
-            unplaced = entry
-            key = entry[0].batch_key
-            now = time.perf_counter()
-            while unplaced:
-                bucket = pending.get(key)
-                if bucket is None:
-                    bucket = pending[key] = []
-                    deadlines[key] = now + self.effective_wait_seconds()
-                    priorities[key] = unplaced[0].request.priority
-                chunk = unplaced[: self.max_batch - len(bucket)]
-                bucket.extend(chunk)
-                unplaced = unplaced[len(chunk) :]
-                priorities[key] = max(
-                    priorities[key], max(item.request.priority for item in chunk)
-                )
-                for item in chunk:
-                    if item.deadline_at is not None:
-                        # Deadline-aware early dispatch: leave an estimated
-                        # solve's worth of headroom before the tightest
-                        # deadline in the bucket, instead of idling out the
-                        # full window.
-                        target = max(now, item.deadline_at - self._batch_cost)
-                        deadlines[key] = min(deadlines[key], target)
-                if len(bucket) >= self.max_batch:
-                    dispatch(key)
-
-        try:
-            while True:
-                timeout = None
-                if deadlines:
-                    timeout = max(0.0, min(deadlines.values()) - time.perf_counter())
-                try:
-                    entry = self._queue.get(timeout=timeout)
-                except queue.Empty:
-                    entry = None
-                if entry is _STOP:
-                    # FIFO guarantees every accepted entry precedes the stop
-                    # sentinel; drain whatever is left, then flush or cancel.
-                    while True:
-                        try:
-                            extra = self._queue.get_nowait()
-                        except queue.Empty:
-                            break
-                        if extra is not _STOP:
-                            add(extra)
-                    for key in sorted(pending, key=lambda k: -priorities[k]):
-                        if self._discard:
-                            for stale in pending.pop(key):
-                                self._cancel(stale)
-                        else:
-                            dispatch(key)
-                    return
-                if entry is not None:
-                    add(entry)
-                now = time.perf_counter()
-                expired = [k for k, d in deadlines.items() if d <= now]
-                # Highest priority dispatches first when several buckets
-                # expire in the same tick (ties keep dict / arrival order).
-                for key in sorted(expired, key=lambda k: -priorities[k]):
-                    dispatch(key)
-        except BaseException as exc:
-            self._on_batcher_crash(exc, pending, unplaced)
-            raise
-
-    def _on_batcher_crash(
-        self, exc: BaseException, pending: dict, unplaced: list[_QueuedItem]
-    ) -> None:
-        """Fail every queued and pending future; poison later submits.
-
-        The supervisor path behind the hang-forever fix: the batcher dying
-        used to strand whatever sat in the intake queue.  Flag order
-        matters — ``_crashed``/``_closed`` are set and the intake bound is
-        lifted *before* draining, so any producer blocked in ``put`` (even
-        part-way through a bulk submit) completes, releases the accept lock,
-        and its items are caught by the locked second drain; producers
-        arriving later fail the ``_check_open`` gate instead.
+        Returns ``None``, and deactivates the shard in the same locked step,
+        when nothing is queued or the service has crashed.
         """
-        crash = SchedulerCrashed("the batcher thread crashed; the service is down")
-        crash.__cause__ = exc
-        self._crashed = crash
-        self._closed = True
-        self.telemetry.increment("scheduler_crashes")
-        # Nothing consumes the intake any more: without a bound, a producer
-        # blocked part-way through a bulk submit finishes instead of waiting
-        # forever for room while holding the accept lock.
-        self._queue.unbound()
+        with self._shard_lock:
+            groups = self._shard_queues.get(shard)
+            if not groups or self._crashed is not None:
+                self._shard_active.discard(shard)
+                return None
+            taken = groups[:]
+            groups.clear()
+            self._queued -= sum(len(group) for group in taken)
+            self._not_full.notify_all()
+        return taken
 
-        def drain_queue() -> None:
-            while True:
-                try:
-                    extra = self._queue.get_nowait()
-                except queue.Empty:
-                    return
-                if extra is not _STOP:
-                    for item in extra:
-                        self._fail(item, crash)
+    def _take_all(self) -> list[_QueuedItem]:
+        """Empty every shard queue; returns the requests no runner took."""
+        with self._shard_lock:
+            taken = [
+                item
+                for groups in self._shard_queues.values()
+                for group in groups
+                for item in group
+            ]
+            for groups in self._shard_queues.values():
+                groups.clear()
+            self._queued -= len(taken)
+            self._not_full.notify_all()
+        return taken
 
-        drain_queue()
+    def _batches(self, taken: list[list[_QueuedItem]]) -> list[list[_QueuedItem]]:
+        """Merge groups by batch key, split at ``max_batch``, highest priority first.
+
+        This is the only place batches are formed: whatever queued up while
+        the previous solve ran coalesces here, however it arrived.  The sort
+        is stable, so ties keep arrival order.
+        """
+        merged: dict[tuple, list[_QueuedItem]] = {}
+        for group in taken:
+            merged.setdefault(group[0].batch_key, []).extend(group)
+        batches = [
+            items[start : start + self.max_batch]
+            for items in merged.values()
+            for start in range(0, len(items), self.max_batch)
+        ]
+        batches.sort(key=lambda batch: -max(item.request.priority for item in batch))
+        return batches
+
+    def _on_runner_crash(self, exc: BaseException, taken: list[_QueuedItem]) -> None:
+        """Fail every queued future on every shard; poison later submits.
+
+        The supervisor path behind the hang-forever fix.  Flag order
+        matters: ``_crashed``/``_closed`` are set and the request bound is
+        lifted under the shard lock *before* the queues are emptied, so no
+        runner takes work any more and a producer blocked part-way through
+        a bulk submit completes and releases the accept lock; the second
+        sweep, under the accept lock, catches its items.  Producers arriving
+        later fail the ``_check_open`` gate instead.
+        """
+        with self._shard_lock:
+            first = self._crashed is None
+            if first:
+                crash = SchedulerCrashed("a shard runner crashed; the service is down")
+                crash.__cause__ = exc
+                self._crashed = crash
+                self._closed = True
+                self.max_queue = math.inf
+                self._not_full.notify_all()
+            crash = self._crashed
+        if first:
+            self.telemetry.increment("scheduler_crashes")
+        for item in taken + self._take_all():
+            self._fail(item, crash)
         with self._accept_lock:
-            drain_queue()
-        for items in [unplaced, *pending.values()]:
-            for item in items:
+            for item in self._take_all():
                 self._fail(item, crash)
-        pending.clear()
 
     # ------------------------------------------------------------------
-    # Worker side
+    # Runner side
     # ------------------------------------------------------------------
 
     def _breaker_for(self, shard: Hashable) -> CircuitBreaker:
@@ -843,56 +710,33 @@ class MicroBatchScheduler:
                     continue
                 raise
 
-    def _fail_shard_queue(self, shard: Hashable, exc: BaseException) -> None:
-        while True:
-            with self._shard_lock:
-                batches = self._shard_queues.get(shard)
-                if not batches:
-                    self._shard_active.discard(shard)
-                    return
-                items = batches.pop(0)
-            for item in items:
-                self._fail(item, exc)
-
     def _run_shard(self, shard: Hashable) -> None:
-        """Drain one shard's dispatched batches on a single worker thread.
+        """Drain one shard's queue on a single worker thread.
 
         The pool lease (and with it the shard lock) is taken once for the
         whole drain, so back-to-back batches of one configuration never pay
-        a thread handoff; the runner deactivates atomically with the
-        emptiness check, and the batcher starts a new runner when it
-        dispatches into an inactive shard.  Session-build failures (e.g. an
-        injected fault in the pool factory) are retried per the policy and
-        otherwise fail the queued futures — and a batch whose execution
-        raises unexpectedly fails *its own* items instead of stranding
-        them, so a dying runner never leaves a hang.
+        a thread handoff.  Each round takes everything queued and solves it
+        in the batches :meth:`_batches` forms; the runner deactivates
+        atomically with finding the queue empty, and the next producer into
+        an inactive shard starts a new runner.  Session-build failures (e.g.
+        an injected fault in the pool factory) are retried per the policy
+        and otherwise fail the queued futures.  A batch whose execution
+        raises unexpectedly fails *its own* items; a failure anywhere else in
+        the loop takes the :meth:`_on_runner_crash` path, so a dying runner
+        never leaves a hang.
         """
         try:
             entry = self._acquire_entry_with_retry(shard)
         except Exception as exc:  # e.g. the pool factory failed
-            self._fail_shard_queue(shard, exc)
+            while (failed := self._take(shard)) is not None:
+                for group in failed:
+                    for item in group:
+                        self._fail(item, exc)
             return
+        taken = None
         try:
-            while True:
-                with self._shard_lock:
-                    batches = self._shard_queues.get(shard)
-                    if not batches:
-                        self._shard_active.discard(shard)
-                        return
-                    taken, batches[:] = batches[:], []
-                # Adaptive re-batching: everything that queued up while
-                # the previous solve ran is taken in one gulp and
-                # re-merged by batch key, so sustained load coalesces
-                # into maximal batches no matter how the time windows
-                # fell at intake.
-                merged: dict[tuple, list[_QueuedItem]] = {}
-                for items in taken:
-                    merged.setdefault(items[0].batch_key, []).extend(items)
-                ordered = sorted(
-                    merged.values(),
-                    key=lambda batch: -max(i.request.priority for i in batch),
-                )
-                for items in ordered:
+            while (taken := self._take(shard)) is not None:
+                for items in self._batches(taken):
                     try:
                         self._run_batch(entry, items)
                     except BaseException as exc:
@@ -901,6 +745,8 @@ class MicroBatchScheduler:
                         # a no-op.
                         for item in items:
                             self._fail(item, exc)
+        except BaseException as exc:
+            self._on_runner_crash(exc, [item for group in taken or () for item in group])
         finally:
             self.pool.release(entry)
 
@@ -980,18 +826,11 @@ class MicroBatchScheduler:
         return out
 
     def _observe_solve(self, solve_seconds: float, solved: int) -> None:
-        if self._window is not None:
-            self._window.observe(solve_seconds)
         per_request = solve_seconds / max(1, solved)
         self._request_cost = (
             per_request
             if self._request_cost == 0.0
             else 0.8 * self._request_cost + 0.2 * per_request
-        )
-        self._batch_cost = (
-            solve_seconds
-            if self._batch_cost == 0.0
-            else 0.8 * self._batch_cost + 0.2 * solve_seconds
         )
         self.telemetry.observe("solve_seconds", solve_seconds)
 
@@ -1106,8 +945,9 @@ class MicroBatchScheduler:
         )
 
     def _settle(self, item: _QueuedItem) -> bool:
-        # Each item is owned by exactly one thread at a time (the batcher or
-        # its shard runner), so a plain flag is enough to make resolution
+        # Each item is owned by exactly one thread at a time (its producer,
+        # then whoever takes it from the shard queue under the shard lock:
+        # a runner, the crash sweep or a discarding shutdown), so a plain flag is enough to make resolution
         # idempotent — the crash paths may re-fail a batch defensively.
         if item.settled:
             return False

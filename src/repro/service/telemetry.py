@@ -6,8 +6,8 @@ increasing counters (requests, batches, cache hits, errors) and value
 histograms (request latency, batch size).  :meth:`Telemetry.snapshot`
 collapses all of it into a plain ``dict`` of numbers — percentiles, means,
 throughput, coalescing factor — suitable for printing, logging or asserting
-on in tests.  All methods are thread-safe; producers, the batcher thread and
-the solve workers write concurrently.
+on in tests.  All methods are thread-safe; producers and the shard runners
+write concurrently.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class Telemetry:
       serial path), ``scheduler_crashes``;
     * histograms — ``latency_seconds`` (submit to result, cache hits
       included), ``batch_size``, ``solve_seconds`` (per-batch solve
-      duration feeding the adaptive window);
+      duration);
     * network-edge counters/gauges — per-route counters
       (``net_route_<name>``), ``net_http_requests`` / ``net_ws_messages``,
       and the point-in-time gauges ``net_connections`` /

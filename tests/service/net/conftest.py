@@ -82,7 +82,7 @@ def live_server(net_factory):
     """
     threads_before = set(threading.enumerate())
     scheduler = MicroBatchScheduler(
-        SessionPool(net_factory), max_batch=8, max_wait_ms=1.0, workers=2
+        SessionPool(net_factory), max_batch=8, workers=2
     )
     handle = serve_in_thread(scheduler, max_inflight=4, submit_timeout_s=10.0)
     try:

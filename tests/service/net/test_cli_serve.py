@@ -15,7 +15,7 @@ class TestServeBenchHTTP:
     def test_http_bench_passes_equivalence_gate(self, capsys):
         exit_code = main([
             "serve-bench", "--http", "--requests", "12", "--cells", "600",
-            "--grids", "1", "--max-wait-ms", "1.0", "--http-clients", "3",
+            "--grids", "1", "--http-clients", "3",
             "--verbose",
         ])
         captured = capsys.readouterr()
@@ -32,7 +32,7 @@ class TestServeBenchHTTP:
         before = set(threading.enumerate())
         assert main([
             "serve-bench", "--http", "--requests", "6", "--cells", "600",
-            "--grids", "1", "--max-wait-ms", "1.0", "--http-clients", "2",
+            "--grids", "1", "--http-clients", "2",
         ]) == 0
         capsys.readouterr()
         leaked = [

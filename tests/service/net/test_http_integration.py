@@ -224,32 +224,23 @@ class TestTypedErrorsOverTheWire:
 
 
 @contextlib.contextmanager
-def stalled_server(net_factory, workload, submit_timeout_s):
-    """A live server over a one-slot intake that its stalled shard keeps full.
+def stalled_server(net_factory, workload, submit_timeout_s, hold_shard):
+    """A live server over a one-slot queue that its stalled shard keeps full.
 
-    Holding the scheduler's shard lock blocks the batcher inside its first
-    dispatch, so after two in-process submits the ``max_queue=1`` intake is
+    Holding the shard's session lock blocks the runner inside its first
+    solve, so after two in-process submits the ``max_queue=1`` queue is
     full and any further submit meets backpressure.  Yields ``(handle,
     release)``; ``release()`` lets the pipeline drain.
     """
     threads_before = set(threading.enumerate())
-    scheduler = MicroBatchScheduler(
-        SessionPool(net_factory), max_batch=1, max_queue=1, max_wait_ms=60_000.0
-    )
+    scheduler = MicroBatchScheduler(SessionPool(net_factory), max_batch=1, max_queue=1)
     handle = serve_in_thread(scheduler, submit_timeout_s=submit_timeout_s)
-    scheduler._shard_lock.acquire()
-    held = [True]
-
-    def release():
-        if held[0]:
-            held[0] = False
-            scheduler._shard_lock.release()
-
+    release = hold_shard(scheduler)
     try:
         scheduler.submit(workload[0])
         deadline = time.perf_counter() + 5.0
         while scheduler.queue_depth() > 0 and time.perf_counter() < deadline:
-            time.sleep(0.001)  # the batcher takes the first item, then blocks
+            time.sleep(0.001)  # the runner takes the first item, then blocks
         scheduler.submit(workload[1])  # fills the one slot
         assert scheduler.queue_depth() == 1
         yield handle, release
@@ -286,10 +277,10 @@ class TestEventLoopNeverBlocksOnBackpressure:
         return thread, reply
 
     def test_healthz_answers_while_a_fit_waits_then_the_fit_succeeds(
-        self, net_factory, net_workload
+        self, net_factory, net_workload, hold_shard
     ):
         wire = WireFit.from_request(net_workload[2])
-        with stalled_server(net_factory, net_workload, submit_timeout_s=30.0) as (
+        with stalled_server(net_factory, net_workload, 30.0, hold_shard) as (
             handle,
             release,
         ):
@@ -307,9 +298,11 @@ class TestEventLoopNeverBlocksOnBackpressure:
         assert max_coefficient_gap([result], reference) <= 1e-10
         assert result.lam == reference[0].lam
 
-    def test_stall_beyond_submit_timeout_answers_429(self, net_factory, net_workload):
+    def test_stall_beyond_submit_timeout_answers_429(
+        self, net_factory, net_workload, hold_shard
+    ):
         wire = WireFit.from_request(net_workload[2])
-        with stalled_server(net_factory, net_workload, submit_timeout_s=0.3) as (handle, _):
+        with stalled_server(net_factory, net_workload, 0.3, hold_shard) as (handle, _):
             thread, reply = self._post_in_thread(handle, wire)
             with FitHTTPClient(handle.host, handle.port, timeout=5.0) as ops:
                 assert ops.healthz()["status"] == "ok"

@@ -1,17 +1,15 @@
 """Unit tests for the failure-containment primitives and error taxonomy.
 
-RetryPolicy / CircuitBreaker / AdaptiveWindow are tested in isolation here
+RetryPolicy / CircuitBreaker are tested in isolation here
 (deterministically — injected clocks, seeded jitter); their composition into
 the scheduler's solve path is covered by ``test_scenarios.py``.
 """
 
 import queue
 
-import numpy as np
 import pytest
 
 from repro.service import (
-    AdaptiveWindow,
     CircuitBreaker,
     DeadlineExceeded,
     InjectedFault,
@@ -105,42 +103,6 @@ class TestCircuitBreaker:
     def test_validation(self):
         with pytest.raises(ValueError):
             CircuitBreaker(0)
-
-
-class TestAdaptiveWindow:
-    def test_starts_at_base_and_never_exceeds_it(self):
-        window = AdaptiveWindow(0.002)
-        assert window.current() == pytest.approx(0.002)
-        window.observe(10.0)  # slow solves: coalescing while solving is free
-        assert window.current() == pytest.approx(0.002)
-
-    def test_fast_solves_shrink_the_window(self):
-        window = AdaptiveWindow(0.002, fraction=0.5)
-        for _ in range(10):
-            window.observe(0.0005)
-        assert window.current() == pytest.approx(0.00025, rel=1e-6)
-
-    def test_p95_equals_numpy_percentile_exactly(self):
-        """The pure-Python p95 over the reservoir is np.percentile, bit for bit."""
-        rng = np.random.default_rng(7)
-        for trial in range(200):
-            window = AdaptiveWindow(1e9, fraction=1.0, max_samples=64)
-            count = int(rng.integers(1, 130))
-            if trial % 3 == 0:
-                samples = rng.lognormal(-7.0, 1.5, count)
-            elif trial % 3 == 1:
-                samples = rng.random(count)
-            else:  # ties exercise equal interpolation neighbours
-                samples = rng.integers(0, 4, count) * 1e-3
-            for value in samples:
-                window.observe(float(value))
-            assert window.current() == float(np.percentile(samples[-64:], 95.0))
-
-    def test_floor_clamps_from_below(self):
-        window = AdaptiveWindow(0.002, fraction=0.5, floor_seconds=0.001)
-        for _ in range(10):
-            window.observe(1e-6)
-        assert window.current() == pytest.approx(0.001)
 
 
 class TestErrorTaxonomy:

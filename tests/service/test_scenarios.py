@@ -3,7 +3,7 @@
 This file covers the composition the unit tests in ``test_robustness.py``
 leave out: the scheduler's admission control (shedding), deadline drops,
 retry of transient faults, circuit-breaker fallback to the degraded serial
-path (bit-exact), session-build containment, the batcher-crash supervisor,
+path (bit-exact), session-build containment, the runner-crash supervisor,
 the ``submit_many`` overflow split, the shutdown/submit race, and the
 deterministic workload scenarios that drive all of it in
 ``repro serve-bench --scenario``.
@@ -73,6 +73,11 @@ def workload(kernels):
         kernels,
         WorkloadSpec(num_requests=24, repeat_ratio=0.25, selection_fraction=0.15, seed=11),
     )
+
+
+def _scaled(request, factor):
+    """A copy of ``request`` with its measurements scaled: same batch key, new content."""
+    return dataclasses.replace(request, measurements=request.measurements * factor)
 
 
 class _ScriptedPlan:
@@ -202,33 +207,46 @@ class TestScenarios:
 
 
 class TestSLOScheduling:
-    def test_infeasible_deadline_is_shed_at_admission(self, factory, workload):
-        pool = SessionPool(factory)
-        with MicroBatchScheduler(
-            pool, max_wait_ms=50.0, adaptive_wait=False
-        ) as scheduler:
-            request = workload[0]
-            shed = scheduler.submit(
-                FitRequest(
-                    times=request.times.copy(),
-                    measurements=request.measurements.copy(),
-                    lam=request.lam,
-                    deadline_ms=0.01,  # far below the 50 ms window
-                )
-            )
-            assert shed.done()
-            with pytest.raises(RequestShed) as info:
-                shed.result()
-            assert info.value.projected_wait_ms > info.value.deadline_ms
-            assert scheduler.telemetry.counter("shed") == 1
-            # No deadline -> never shed, same window.
-            assert scheduler.submit(request).result() is not None
-
-    def test_stale_queued_request_misses_deadline_instead_of_solving(
-        self, factory, workload
+    def test_infeasible_deadline_is_shed_at_admission(
+        self, factory, workload, hold_shard
     ):
         pool = SessionPool(factory)
-        scheduler = MicroBatchScheduler(pool, max_wait_ms=0.1, adaptive_wait=False)
+        scheduler = MicroBatchScheduler(pool)
+        request = workload[0]
+        try:
+            # One solve seeds the per-request cost model; a stalled shard
+            # then keeps a request outstanding, so the projected wait
+            # (cost x outstanding) is well above zero.
+            scheduler.submit(_scaled(request, 1.3)).result(timeout=30)
+            release = hold_shard(scheduler)
+            try:
+                parked = scheduler.submit(_scaled(request, 1.2))
+                shed = scheduler.submit(
+                    FitRequest(
+                        times=request.times.copy(),
+                        measurements=request.measurements.copy(),
+                        lam=request.lam,
+                        deadline_ms=0.01,  # far below one solve per outstanding request
+                    )
+                )
+                assert shed.done()
+                with pytest.raises(RequestShed) as info:
+                    shed.result()
+                assert info.value.projected_wait_ms > info.value.deadline_ms
+                assert scheduler.telemetry.counter("shed") == 1
+            finally:
+                release()
+            assert parked.result(timeout=30) is not None
+            # No deadline -> never shed, same cost model.
+            assert scheduler.submit(request).result(timeout=30) is not None
+        finally:
+            scheduler.shutdown()
+
+    def test_stale_queued_request_misses_deadline_instead_of_solving(
+        self, factory, workload, hold_shard
+    ):
+        pool = SessionPool(factory)
+        scheduler = MicroBatchScheduler(pool)
         try:
             request = workload[0]
             with_deadline = FitRequest(
@@ -237,17 +255,23 @@ class TestSLOScheduling:
                 lam=request.lam,
                 deadline_ms=30.0,
             )
-            # Stall the runner deterministically, then let the request age out.
-            scheduler._shard_lock.acquire()
+            # Stall the runner deterministically inside a solve it has
+            # taken, then let the request queued behind it age out.
+            release = hold_shard(scheduler)
             try:
+                blocker = scheduler.submit(_scaled(request, 1.2))
+                deadline = time.perf_counter() + 5.0
+                while scheduler.queue_depth() > 0 and time.perf_counter() < deadline:
+                    time.sleep(0.001)
                 future = scheduler.submit(with_deadline)
                 time.sleep(0.08)
             finally:
-                scheduler._shard_lock.release()
+                release()
             with pytest.raises(DeadlineExceeded) as info:
                 future.result(timeout=10)
             assert info.value.waited_ms >= 30.0
             assert scheduler.telemetry.counter("deadline_missed") == 1
+            assert blocker.result(timeout=10) is not None
         finally:
             scheduler.shutdown()
 
@@ -256,7 +280,7 @@ class TestSLOScheduling:
         pool = SessionPool(factory)
         order = []
         with MicroBatchScheduler(
-            pool, max_batch=8, max_wait_ms=0.1, workers=1, fault_plan=plan
+            pool, max_batch=8, workers=1, fault_plan=plan
         ) as scheduler:
             from repro.data.synthetic import single_pulse_profile
 
@@ -298,7 +322,6 @@ class TestFailureContainment:
         pool = SessionPool(factory)
         with MicroBatchScheduler(
             pool,
-            max_wait_ms=0.5,
             fault_plan=plan,
             retry=RetryPolicy(max_attempts=3, base_delay_ms=0.1),
         ) as scheduler:
@@ -313,7 +336,6 @@ class TestFailureContainment:
         pool = SessionPool(factory)
         with MicroBatchScheduler(
             pool,
-            max_wait_ms=0.5,
             fault_plan=plan,
             retry=RetryPolicy(max_attempts=2, base_delay_ms=0.1),
             breaker_threshold=50,  # keep the breaker out of this test
@@ -331,7 +353,6 @@ class TestFailureContainment:
         pool = SessionPool(factory)
         with MicroBatchScheduler(
             pool,
-            max_wait_ms=0.5,
             cache=ResultCache(0),  # force every request through a solve path
             fault_plan=plan,
             retry=RetryPolicy(max_attempts=1),
@@ -358,7 +379,7 @@ class TestFailureContainment:
 
         pool = SessionPool(flaky_factory)
         with MicroBatchScheduler(
-            pool, max_wait_ms=0.5, retry=RetryPolicy(max_attempts=3, base_delay_ms=0.1)
+            pool, retry=RetryPolicy(max_attempts=3, base_delay_ms=0.1)
         ) as scheduler:
             # First build fails transiently, the retry succeeds.
             result = scheduler.submit(workload[0]).result(timeout=30)
@@ -371,7 +392,7 @@ class TestFailureContainment:
             raise ValueError("no such configuration")
 
         pool = SessionPool(broken_factory)
-        with MicroBatchScheduler(pool, max_wait_ms=0.5) as scheduler:
+        with MicroBatchScheduler(pool) as scheduler:
             futures = [scheduler.submit(r) for r in workload[:3]]
             for future in futures:
                 with pytest.raises(ValueError):
@@ -379,31 +400,40 @@ class TestFailureContainment:
             assert scheduler.telemetry.counter("errors") == 3
 
 
+def _wait_until_taken(scheduler):
+    """Wait for the runner to take everything queued (it then stalls in its solve)."""
+    deadline = time.perf_counter() + 5.0
+    while scheduler.queue_depth() > 0 and time.perf_counter() < deadline:
+        time.sleep(0.001)
+
+
 class TestSupervisor:
-    @pytest.mark.filterwarnings(
-        # The batcher re-raises after its crash cleanup (so the failure is
-        # visible in thread dumps); pytest reports that as an unhandled
-        # thread exception, which is exactly what this test provokes.
-        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
-    )
-    def test_batcher_crash_fails_pending_and_poisons_submit(
-        self, factory, workload
+    def test_runner_crash_fails_queued_and_poisons_submit(
+        self, factory, workload, hold_shard
     ):
         pool = SessionPool(factory)
-        # A huge window keeps everything pending in the batcher when it dies.
-        scheduler = MicroBatchScheduler(pool, max_batch=4, max_wait_ms=60_000.0)
+        scheduler = MicroBatchScheduler(pool, max_batch=4)
+        # A stalled shard keeps everything queued when the runner loop dies.
+        release = hold_shard(scheduler)
         try:
+            blocker = scheduler.submit(workload[2])
+            _wait_until_taken(scheduler)
             pending = scheduler.submit(workload[0])
-            # Poison the batcher: comparing the bucket length against a
-            # non-integer raises inside the batch loop.
+            # Poison the runner loop: splitting what it takes at a
+            # non-integer max_batch raises outside any batch.
             scheduler.max_batch = "boom"
             victim = scheduler.submit(workload[1])
+        finally:
+            release()
+        try:
             with pytest.raises(SchedulerCrashed):
                 victim.result(timeout=30)
-            # The request accepted *before* the crash is failed too, not
+            # The request accepted *before* the poisoning is failed too, not
             # stranded — the hang-forever bug this supervisor exists to kill.
             with pytest.raises(SchedulerCrashed):
                 pending.result(timeout=30)
+            # The batch the runner had already formed still completes.
+            assert blocker.result(timeout=30) is not None
             deadline = time.perf_counter() + 10.0
             while scheduler._crashed is None and time.perf_counter() < deadline:
                 time.sleep(0.005)
@@ -418,36 +448,29 @@ class TestSupervisor:
             scheduler.max_batch = 4
             scheduler.shutdown()  # must not hang after the crash
 
-    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
-    def test_crash_releases_a_bulk_producer_blocked_mid_list(self, factory, workload):
+    def test_crash_releases_a_bulk_producer_blocked_mid_list(
+        self, factory, workload, hold_shard
+    ):
         pool = SessionPool(factory)
-        scheduler = MicroBatchScheduler(
-            pool, max_batch=1, max_queue=2, max_wait_ms=60_000.0
-        )
-        bulk = [
-            dataclasses.replace(
-                workload[1], measurements=workload[1].measurements * (1.0 + 0.1 * k)
-            )
-            for k in range(8)
-        ]
+        scheduler = MicroBatchScheduler(pool, max_batch=1, max_queue=2)
+        bulk = [_scaled(workload[1], 1.0 + 0.1 * k) for k in range(8)]
         futures = []
-        scheduler._shard_lock.acquire()  # stalls the batcher in its first dispatch
+        release = hold_shard(scheduler)  # stalls the runner in its first solve
         try:
             scheduler.submit(workload[0])
-            deadline = time.perf_counter() + 5.0
-            while scheduler.queue_depth() > 0 and time.perf_counter() < deadline:
-                time.sleep(0.001)
+            _wait_until_taken(scheduler)
             producer = threading.Thread(
                 target=lambda: futures.extend(scheduler.submit_many(bulk))
             )
             producer.start()  # two requests fit, then it blocks for room
+            deadline = time.perf_counter() + 5.0
             while scheduler.queue_depth() < 2 and time.perf_counter() < deadline:
                 time.sleep(0.001)
-            scheduler.max_batch = "boom"  # the next intake entry crashes the batcher
+            scheduler.max_batch = "boom"  # the runner's next take crashes its loop
         finally:
-            scheduler._shard_lock.release()
-        # Draining the two queued requests must not just let the producer
-        # refill the intake and block again while it holds the accept lock.
+            release()
+        # Failing the two queued requests must not just let the producer
+        # refill the queue and block again while it holds the accept lock.
         producer.join(timeout=10.0)
         assert not producer.is_alive()
         assert len(futures) == len(bulk)
@@ -457,17 +480,13 @@ class TestSupervisor:
         scheduler.max_batch = 1
         scheduler.shutdown()
 
-    def test_submit_many_overflow_reports_the_split(self, factory, workload):
+    def test_submit_many_overflow_reports_the_split(self, factory, workload, hold_shard):
         pool = SessionPool(factory)
-        scheduler = MicroBatchScheduler(
-            pool, max_batch=1, max_queue=1, max_wait_ms=60_000.0
-        )
-        scheduler._shard_lock.acquire()
+        scheduler = MicroBatchScheduler(pool, max_batch=1, max_queue=1)
+        release = hold_shard(scheduler)
         try:
             first = scheduler.submit(workload[0])
-            deadline = time.perf_counter() + 5.0
-            while scheduler._queue.qsize() > 0 and time.perf_counter() < deadline:
-                time.sleep(0.001)  # the batcher blocks inside its dispatch
+            _wait_until_taken(scheduler)  # the runner stalls inside its solve
             with pytest.raises(IntakeOverflow) as info:
                 scheduler.submit_many(workload[1:4], timeout=0.05)
             overflow = info.value
@@ -476,10 +495,8 @@ class TestSupervisor:
             assert [r.fingerprint() for r in overflow.rejected] == [
                 r.fingerprint() for r in workload[2:4]
             ]
-            # Rejected futures are failed, not dropped: nothing hangs.
-            rejected_futures = []
         finally:
-            scheduler._shard_lock.release()
+            release()
         scheduler.shutdown(drain=True)
         assert first.result(timeout=30) is not None
         for future in overflow.accepted:
@@ -488,7 +505,7 @@ class TestSupervisor:
 
     def test_shutdown_submit_race_leaks_nothing(self, factory, workload):
         pool = SessionPool(factory)
-        scheduler = MicroBatchScheduler(pool, max_batch=8, max_wait_ms=0.2, workers=2)
+        scheduler = MicroBatchScheduler(pool, max_batch=8, workers=2)
         futures = []
         futures_lock = threading.Lock()
         stop = threading.Event()

@@ -6,6 +6,7 @@ response must match a direct one-shot ``Deconvolver.fit`` to 1e-10 — under
 concurrent producers, coalescing, dedup, cache hits and drain.
 """
 
+import concurrent.futures
 import dataclasses
 import queue
 import sys
@@ -63,7 +64,7 @@ class TestEquivalence:
     def test_concurrent_producers_match_serial_fit(self, factory, workload):
         pool = SessionPool(factory)
         futures = [None] * len(workload)
-        with MicroBatchScheduler(pool, max_batch=8, max_wait_ms=1.0, workers=2) as scheduler:
+        with MicroBatchScheduler(pool, max_batch=8, workers=2) as scheduler:
 
             def produce(offset):
                 for index in range(offset, len(workload), 4):
@@ -84,7 +85,7 @@ class TestEquivalence:
 
     def test_map_preserves_input_order_and_coalesces(self, factory, workload):
         pool = SessionPool(factory)
-        with MicroBatchScheduler(pool, max_batch=32, max_wait_ms=0.5) as scheduler:
+        with MicroBatchScheduler(pool, max_batch=32) as scheduler:
             results = scheduler.map(workload)
             snapshot = scheduler.telemetry.snapshot()
         references = serial_reference(factory("reference"), workload)
@@ -100,7 +101,7 @@ class TestEquivalence:
             for scale, lam in ((1.0, 1e-3), (1.1, 1e-2), (1.2, 1e-3))
         ]
         pool = SessionPool(factory)
-        with MicroBatchScheduler(pool, max_batch=8, max_wait_ms=5.0) as scheduler:
+        with MicroBatchScheduler(pool, max_batch=8) as scheduler:
             results = scheduler.map(requests)
             snapshot = scheduler.telemetry.snapshot()
         # One (grid, sigma) bucket despite two lambda values.
@@ -134,6 +135,16 @@ def _malformed(request, kind):
     )
 
 
+def _same_key_group(request, count):
+    """``count`` distinct requests sharing ``request``'s batch key."""
+    group = [
+        dataclasses.replace(request, measurements=request.measurements * (1.0 + 0.1 * k))
+        for k in range(count)
+    ]
+    assert len({member.batch_key() for member in group}) == 1
+    return group
+
+
 class TestMalformedRequestsFailAlone:
     @pytest.mark.parametrize("intake", ["submit", "submit_many"])
     @pytest.mark.parametrize(
@@ -147,7 +158,7 @@ class TestMalformedRequestsFailAlone:
         for position in bad_positions:
             requests[position] = _malformed(workload[position], kind)
         pool = SessionPool(factory)
-        with MicroBatchScheduler(pool, max_batch=32, max_wait_ms=5.0) as scheduler:
+        with MicroBatchScheduler(pool, max_batch=32) as scheduler:
             if intake == "submit":
                 futures = [scheduler.submit(request) for request in requests]
             else:
@@ -172,7 +183,7 @@ class TestMalformedRequestsFailAlone:
 class TestCacheAndDedup:
     def test_cache_hit_short_circuits_resolved_future(self, factory, workload):
         pool = SessionPool(factory)
-        with MicroBatchScheduler(pool, max_batch=8, max_wait_ms=0.5) as scheduler:
+        with MicroBatchScheduler(pool, max_batch=8) as scheduler:
             first = scheduler.submit(workload[0]).result()
             batches_before = scheduler.telemetry.counter("batches")
             repeat = FitRequest(
@@ -195,14 +206,14 @@ class TestCacheAndDedup:
             measurements=request.measurements.copy(),
             lam=request.lam,
         )
-        with MicroBatchScheduler(pool, max_batch=8, max_wait_ms=5.0) as scheduler:
+        with MicroBatchScheduler(pool, max_batch=8) as scheduler:
             results = scheduler.map([request, repeat])
             assert scheduler.telemetry.counter("deduplicated") == 1
         assert np.array_equal(results[0].coefficients, results[1].coefficients)
 
     def test_disabled_cache_still_correct(self, factory, workload):
         pool = SessionPool(factory)
-        with MicroBatchScheduler(pool, cache=ResultCache(0), max_wait_ms=0.5) as scheduler:
+        with MicroBatchScheduler(pool, cache=ResultCache(0)) as scheduler:
             results = scheduler.map(workload[:6])
             assert scheduler.telemetry.counter("cache_hits") == 0
         references = serial_reference(factory("reference"), workload[:6])
@@ -210,24 +221,51 @@ class TestCacheAndDedup:
 
 
 class TestLifecycle:
-    def test_shutdown_drains_nonempty_queue(self, factory, workload):
+    def test_shutdown_drains_nonempty_queue(self, factory, workload, hold_shard):
         pool = SessionPool(factory)
-        # A very long batching window: nothing dispatches on its own, so the
-        # queue is guaranteed non-empty when shutdown arrives.
-        scheduler = MicroBatchScheduler(pool, max_batch=64, max_wait_ms=60_000.0)
-        futures = [scheduler.submit(request) for request in workload[:5]]
-        scheduler.shutdown(drain=True)
+        scheduler = MicroBatchScheduler(pool, max_batch=64)
+        # A stalled shard: the runner takes the first request and blocks in
+        # its solve, so the queue is guaranteed non-empty when shutdown
+        # arrives.
+        release = hold_shard(scheduler)
+        futures = [scheduler.submit(workload[0])]
+        deadline = time.perf_counter() + 5.0
+        while scheduler.queue_depth() > 0 and time.perf_counter() < deadline:
+            time.sleep(0.001)
+        futures += [scheduler.submit(request) for request in workload[1:5]]
+        closer = threading.Thread(target=scheduler.shutdown, kwargs={"drain": True})
+        closer.start()
+        while not scheduler.closed and time.perf_counter() < deadline:
+            time.sleep(0.001)
+        assert scheduler.closed and scheduler.queue_depth() == 4
+        release()
+        closer.join(timeout=60.0)
+        assert not closer.is_alive()
         results = [future.result(timeout=0) for future in futures]
         references = serial_reference(factory("reference"), workload[:5])
         assert max_coefficient_gap(results, references) <= 1e-10
 
-    def test_shutdown_discard_cancels_pending(self, factory, workload):
+    def test_shutdown_discard_cancels_pending(self, factory, workload, hold_shard):
         pool = SessionPool(factory)
-        scheduler = MicroBatchScheduler(pool, max_batch=64, max_wait_ms=60_000.0)
+        scheduler = MicroBatchScheduler(pool, max_batch=64)
+        release = hold_shard(scheduler)
+        taken = scheduler.submit(workload[3])
+        deadline = time.perf_counter() + 5.0
+        while scheduler.queue_depth() > 0 and time.perf_counter() < deadline:
+            time.sleep(0.001)  # the runner takes it, then stalls in its solve
         futures = [scheduler.submit(request) for request in workload[:3]]
-        scheduler.shutdown(drain=False)
+        # shutdown(drain=False) cancels the queue at once, then waits for the
+        # stalled runner, so it runs off the holding thread.
+        closer = threading.Thread(target=scheduler.shutdown, kwargs={"drain": False})
+        closer.start()
+        concurrent.futures.wait(futures, timeout=10.0)
         assert all(future.cancelled() for future in futures)
         assert scheduler.telemetry.counter("cancelled") == 3
+        release()
+        closer.join(timeout=60.0)
+        assert not closer.is_alive()
+        # What a runner had already taken still completes.
+        assert taken.result(timeout=0) is not None
 
     def test_submit_after_shutdown_raises(self, factory, workload):
         scheduler = MicroBatchScheduler(SessionPool(factory))
@@ -239,32 +277,32 @@ class TestLifecycle:
             scheduler.submit_many([workload[1]])
         scheduler.shutdown()  # idempotent
 
-    def test_backpressure_timeout(self, factory, workload):
+    def test_backpressure_timeout(self, factory, workload, hold_shard):
         pool = SessionPool(factory)
-        scheduler = MicroBatchScheduler(pool, max_batch=1, max_queue=1, max_wait_ms=60_000.0)
-        # Stall the pipeline deterministically: holding the shard-queue lock
-        # blocks the batcher inside its first dispatch, so the one-slot
-        # intake queue stays full and the third submit hits the bound.
-        scheduler._shard_lock.acquire()
+        scheduler = MicroBatchScheduler(pool, max_batch=1, max_queue=1)
+        # Stall the pipeline deterministically: holding the shard's session
+        # lock blocks the runner inside its first solve, so the one-slot
+        # queue stays full and the third submit hits the bound.
+        release = hold_shard(scheduler)
         try:
             futures = [scheduler.submit(workload[0])]
             deadline = time.perf_counter() + 5.0
-            while scheduler._queue.qsize() > 0 and time.perf_counter() < deadline:
-                time.sleep(0.001)  # batcher takes the first item, then blocks
+            while scheduler.queue_depth() > 0 and time.perf_counter() < deadline:
+                time.sleep(0.001)  # the runner takes the first item, then blocks
             futures.append(scheduler.submit(workload[1]))  # fills the slot
             with pytest.raises(queue.Full):
                 scheduler.submit(workload[2], timeout=0.05)
         finally:
-            scheduler._shard_lock.release()
+            release()
         scheduler.shutdown(drain=True)
         assert all(future.done() and not future.cancelled() for future in futures)
 
     def test_zero_timeout_never_waits_for_a_blocked_bulk_producer(
-        self, factory, workload
+        self, factory, workload, hold_shard
     ):
         pool = SessionPool(factory)
-        scheduler = MicroBatchScheduler(pool, max_batch=1, max_queue=1, max_wait_ms=60_000.0)
-        scheduler._shard_lock.acquire()  # stalls the batcher in its first dispatch
+        scheduler = MicroBatchScheduler(pool, max_batch=1, max_queue=1)
+        release = hold_shard(scheduler)  # stalls the runner in its first solve
         try:
             first = scheduler.submit(workload[0])
             deadline = time.perf_counter() + 5.0
@@ -298,7 +336,7 @@ class TestLifecycle:
             assert scheduler.outstanding() == 2
             assert scheduler.queue_depth() == 1
         finally:
-            scheduler._shard_lock.release()
+            release()
         producer.join(timeout=30.0)
         assert not producer.is_alive()
         scheduler.shutdown(drain=True)
@@ -306,19 +344,13 @@ class TestLifecycle:
         assert all(future.result(timeout=30) is not None for future in bulk)
         assert scheduler.outstanding() == 0
 
-    def test_intake_bound_counts_requests_not_entries(self, factory, workload):
+    def test_intake_bound_counts_requests_not_entries(self, factory, workload, hold_shard):
         pool = SessionPool(factory)
-        scheduler = MicroBatchScheduler(pool, max_batch=1, max_queue=3, max_wait_ms=60_000.0)
-        # Five requests sharing one batch key travel as one intake entry,
+        scheduler = MicroBatchScheduler(pool, max_batch=1, max_queue=3)
+        # Five requests sharing one batch key travel as one queued group,
         # but only three fit under a three-request bound.
-        group = [
-            dataclasses.replace(
-                workload[1], measurements=workload[1].measurements * (1.0 + 0.1 * k)
-            )
-            for k in range(5)
-        ]
-        assert len({request.batch_key() for request in group}) == 1
-        scheduler._shard_lock.acquire()  # stalls the batcher in its first dispatch
+        group = _same_key_group(workload[1], 5)
+        release = hold_shard(scheduler)  # stalls the runner in its first solve
         try:
             first = scheduler.submit(workload[0])
             deadline = time.perf_counter() + 5.0
@@ -333,7 +365,7 @@ class TestLifecycle:
             assert scheduler.queue_depth() == 3
             assert scheduler.outstanding() == 4
         finally:
-            scheduler._shard_lock.release()
+            release()
         scheduler.shutdown(drain=True)
         assert first.result(timeout=30) is not None
         for future in info.value.accepted:
@@ -345,7 +377,7 @@ class TestLifecycle:
         """Producers racing partial group puts never lose or overcount a request."""
         pool = SessionPool(factory)
         scheduler = MicroBatchScheduler(
-            pool, max_batch=4, max_queue=5, max_wait_ms=0.5, cache=ResultCache(0)
+            pool, max_batch=4, max_queue=5, cache=ResultCache(0)
         )
         futures = [None] * len(workload)
         depths = []
@@ -381,15 +413,15 @@ class TestLifecycle:
 
     def test_submit_many_enqueues_one_entry_per_batch_key(self, factory, workload):
         pool = SessionPool(factory)
-        scheduler = MicroBatchScheduler(pool, max_batch=8, max_wait_ms=0.5)
+        scheduler = MicroBatchScheduler(pool, max_batch=8)
         entries = []
-        put = scheduler._queue.put
+        put = scheduler._put
 
         def recording_put(items, timeout=None):
             entries.append([item.batch_key for item in items])
             return put(items, timeout)
 
-        scheduler._queue.put = recording_put
+        scheduler._put = recording_put
         try:
             results = scheduler.map(workload)
         finally:
@@ -409,7 +441,7 @@ class TestLifecycle:
             measurements=np.ones(kernels[0].times.size),
             lambda_method="no-such-method",
         )
-        with MicroBatchScheduler(pool, max_wait_ms=0.5) as scheduler:
+        with MicroBatchScheduler(pool) as scheduler:
             future = scheduler.submit(bad)
             with pytest.raises(Exception):
                 future.result(timeout=10)
@@ -417,7 +449,7 @@ class TestLifecycle:
 
     def test_queue_accounting_and_graceful_drain(self, factory, workload):
         pool = SessionPool(factory)
-        scheduler = MicroBatchScheduler(pool, max_batch=4, max_wait_ms=10.0, workers=2)
+        scheduler = MicroBatchScheduler(pool, max_batch=4, workers=2)
         futures = []
         samples = []
 
@@ -454,17 +486,103 @@ class TestLifecycle:
         pool = SessionPool(factory)
         with pytest.raises(ValueError):
             MicroBatchScheduler(pool, max_batch=0)
-        with pytest.raises(ValueError):
-            MicroBatchScheduler(pool, max_wait_ms=-1.0)
+        # Unknown keywords are rejected, not silently ignored.
+        with pytest.raises(TypeError):
+            MicroBatchScheduler(pool, max_wait_ms=1.0)
+        with pytest.raises(TypeError):
+            MicroBatchScheduler(pool, adaptive_wait=False)
         with pytest.raises(ValueError):
             MicroBatchScheduler(pool, max_queue=0)
 
     def test_stats_shape(self, factory, workload):
-        with MicroBatchScheduler(SessionPool(factory), max_wait_ms=0.5) as scheduler:
+        with MicroBatchScheduler(SessionPool(factory)) as scheduler:
             scheduler.map(workload[:4])
             stats = scheduler.stats()
         assert {"queued", "outstanding", "workers", "pool", "cache", "telemetry"} <= set(stats)
+        assert not {"max_wait_ms", "effective_wait_ms"} & set(stats)
         assert stats["outstanding"] == 0
+
+
+class TestIdleDispatch:
+    """Producers hand work straight to shard runners; no window, no batcher."""
+
+    def test_construction_starts_no_thread(self, factory):
+        # No batcher thread; runner threads start with the first request.
+        before = set(threading.enumerate())
+        scheduler = MicroBatchScheduler(SessionPool(factory))
+        try:
+            assert [t.name for t in threading.enumerate() if t not in before] == []
+        finally:
+            scheduler.shutdown()
+
+    def test_idle_shard_solves_a_request_as_a_batch_of_one(self, factory, workload):
+        with MicroBatchScheduler(SessionPool(factory), max_batch=32) as scheduler:
+            result = scheduler.submit(workload[0]).result(timeout=30)
+            snapshot = scheduler.telemetry.snapshot()
+        sizes = snapshot["histograms"]["batch_size"]
+        assert sizes["count"] == 1 and sizes["max"] == 1
+        reference = serial_reference(factory("reference"), [workload[0]])[0]
+        assert np.max(np.abs(result.coefficients - reference.coefficients)) <= 1e-10
+
+    def test_requests_queued_during_a_solve_coalesce_into_the_next_batch(
+        self, factory, workload, hold_shard
+    ):
+        scheduler = MicroBatchScheduler(SessionPool(factory), max_batch=32)
+        group = _same_key_group(workload[1], 5)
+        release = hold_shard(scheduler)
+        try:
+            blocker = scheduler.submit(workload[0])
+            deadline = time.perf_counter() + 5.0
+            while scheduler.queue_depth() > 0 and time.perf_counter() < deadline:
+                time.sleep(0.001)  # the runner takes it, then stalls in its solve
+            futures = [scheduler.submit(request) for request in group]
+            assert scheduler.queue_depth() == len(group)
+        finally:
+            release()
+        try:
+            results = [future.result(timeout=30) for future in futures]
+            assert blocker.result(timeout=30) is not None
+            snapshot = scheduler.telemetry.snapshot()
+        finally:
+            scheduler.shutdown()
+        sizes = snapshot["histograms"]["batch_size"]
+        # The blocker alone, then all five one-request groups as one batch.
+        assert sizes["count"] == 2 and sizes["max"] == len(group)
+        references = serial_reference(factory("reference"), group)
+        assert max_coefficient_gap(results, references) <= 1e-10
+
+    @pytest.mark.parametrize("intake", ["submit", "submit_many"])
+    def test_runner_splits_what_it_takes_at_max_batch(
+        self, factory, workload, hold_shard, intake
+    ):
+        """Regression: re-merged same-key requests used to exceed ``max_batch``."""
+        scheduler = MicroBatchScheduler(
+            SessionPool(factory), max_batch=4, cache=ResultCache(0)
+        )
+        group = _same_key_group(workload[1], 10)
+        release = hold_shard(scheduler)
+        try:
+            scheduler.submit(workload[0])
+            deadline = time.perf_counter() + 5.0
+            while scheduler.queue_depth() > 0 and time.perf_counter() < deadline:
+                time.sleep(0.001)
+            if intake == "submit":
+                futures = [scheduler.submit(request) for request in group]
+            else:
+                futures = scheduler.submit_many(group)
+            assert scheduler.queue_depth() == len(group)
+        finally:
+            release()
+        try:
+            results = [future.result(timeout=30) for future in futures]
+            snapshot = scheduler.telemetry.snapshot()
+        finally:
+            scheduler.shutdown()
+        sizes = snapshot["histograms"]["batch_size"]
+        assert sizes["max"] <= 4
+        assert snapshot["counters"]["batches"] == 1 + 3  # the blocker, then 4 + 4 + 2
+        references = serial_reference(factory("reference"), group)
+        assert max_coefficient_gap(results, references) <= 1e-10
 
 
 class TestReviewRegressions:
@@ -491,7 +609,7 @@ class TestReviewRegressions:
 
     def test_cached_results_release_solver_caches(self, factory, workload):
         pool = SessionPool(factory)
-        with MicroBatchScheduler(pool, max_wait_ms=0.5) as scheduler:
+        with MicroBatchScheduler(pool) as scheduler:
             returned = scheduler.submit(workload[0]).result()
             (cached,) = scheduler.cache._entries.values()
         # The cached result no longer pins the shard's factorizations ...

@@ -105,7 +105,7 @@ class TestServeBenchCLI:
     def test_serve_bench_command_runs_and_verifies(self, capsys):
         exit_code = main([
             "serve-bench", "--requests", "12", "--cells", "600", "--grids", "1",
-            "--max-wait-ms", "1.0", "--verbose",
+            "--verbose",
         ])
         captured = capsys.readouterr()
         assert exit_code == 0
@@ -117,7 +117,7 @@ class TestServeBenchCLI:
     def test_serve_bench_scenario_with_faults_terminates_and_verifies(self, capsys):
         exit_code = main([
             "serve-bench", "--requests", "10", "--cells", "600", "--grids", "1",
-            "--max-wait-ms", "1.0", "--scenario", "hotkey", "--faults", "--verbose",
+            "--scenario", "hotkey", "--faults", "--verbose",
         ])
         captured = capsys.readouterr()
         assert exit_code == 0
