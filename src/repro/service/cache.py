@@ -7,8 +7,9 @@ vector, fit options), so the service layer can answer repeats in O(lookup):
 :func:`request_fingerprint` hashes that whole tuple into a stable hex digest
 and :class:`ResultCache` maps digests to finished
 :class:`~repro.core.result.DeconvolutionResult` objects under an LRU entry
-budget.  The scheduler consults the cache at submit time (hits never enter
-the batch queue) and stores every solved result on the way out.
+budget.  The scheduler looks up each batch-key block of its intake with one
+:meth:`ResultCache.get_many` (hits never enter the batch queue) and stores
+each solved batch with one :meth:`ResultCache.put_many`.
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ import hashlib
 import itertools
 import threading
 from collections import OrderedDict
-from typing import Hashable
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
 from repro.core.session import sigma_fingerprint, times_fingerprint
 from repro.utils.rng import SeedLike
 
-__all__ = ["ResultCache", "request_fingerprint", "seed_fingerprint"]
+__all__ = ["GridFingerprints", "ResultCache", "request_fingerprint", "seed_fingerprint"]
 
 #: Monotonic source of never-repeating tokens for seeds without a stable
 #: content identity (see :func:`seed_fingerprint`).
@@ -85,19 +86,70 @@ def request_fingerprint(
         Hex digest; collisions are cryptographically unlikely (blake2b).
     """
     times = np.asarray(times, dtype=float)
-    digest = hashlib.blake2b(digest_size=20)
-    digest.update(repr(config).encode())
-    digest.update(times_fingerprint(times))
-    digest.update(np.ascontiguousarray(np.asarray(measurements, dtype=float)).tobytes())
-    digest.update(sigma_fingerprint(times, sigma))
-    digest.update(b"none" if lam is None else repr(float(lam)).encode())
-    digest.update(lambda_method.encode())
-    if lambda_grid is None:
-        digest.update(b"default-grid")
-    else:
-        digest.update(np.ascontiguousarray(np.asarray(lambda_grid, dtype=float)).tobytes())
-    digest.update(seed_fingerprint(rng).encode())
-    return digest.hexdigest()
+    fingerprints = GridFingerprints(
+        config,
+        times_fingerprint(times),
+        sigma_fingerprint(times, sigma),
+        seed_fingerprint(rng),
+    )
+    return fingerprints(
+        np.ascontiguousarray(np.asarray(measurements, dtype=float)),
+        lam,
+        lambda_method,
+        lambda_grid,
+    )
+
+
+class GridFingerprints:
+    """:func:`request_fingerprint` for many requests on one grid.
+
+    The configuration key and the grid's identity bytes are hashed once;
+    each call then costs one copy of the shared hash prefix plus the
+    request's own bytes, and returns the digest :func:`request_fingerprint`
+    gives for that request.
+
+    Parameters
+    ----------
+    config:
+        Configuration key, as in :func:`request_fingerprint`.
+    times_key, sigma_key:
+        :func:`~repro.core.session.times_fingerprint` and
+        :func:`~repro.core.session.sigma_fingerprint` of the grid.
+    seed_key:
+        :func:`seed_fingerprint` of the seed.
+    """
+
+    def __init__(
+        self, config: Hashable, times_key: bytes, sigma_key: bytes, seed_key: str
+    ) -> None:
+        self._head = hashlib.blake2b(repr(config).encode() + times_key, digest_size=20)
+        self._sigma = sigma_key
+        self._seed = seed_key.encode()
+
+    def __call__(
+        self,
+        measurements,
+        lam: float | None = None,
+        lambda_method: str = "gcv",
+        lambda_grid: np.ndarray | None = None,
+    ) -> str:
+        """Digest of one request whose float64 ``measurements`` buffer is given."""
+        digest = self._head.copy()
+        digest.update(measurements)
+        digest.update(
+            b"".join(
+                (
+                    self._sigma,
+                    b"none" if lam is None else repr(float(lam)).encode(),
+                    lambda_method.encode(),
+                    b"default-grid"
+                    if lambda_grid is None
+                    else np.ascontiguousarray(np.asarray(lambda_grid, dtype=float)).tobytes(),
+                    self._seed,
+                )
+            )
+        )
+        return digest.hexdigest()
 
 
 class ResultCache:
@@ -126,24 +178,41 @@ class ResultCache:
 
     def get(self, key: str):
         """The cached result for ``key`` (refreshing recency), or ``None``."""
+        return self.get_many((key,))[0]
+
+    def get_many(self, keys: Sequence[str]) -> list:
+        """:meth:`get` for every key in one lock round trip (``None`` per miss)."""
+        entries = self._entries
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
+            found = [entries.get(key) for key in keys]
+            hits = 0
+            for key, entry in zip(keys, found):
+                if entry is not None:
+                    entries.move_to_end(key)
+                    hits += 1
+            self.hits += hits
+            self.misses += len(found) - hits
+        return found
 
     def put(self, key: str, result: object) -> None:
         """Store ``result`` under ``key``, evicting LRU entries over budget."""
+        self.put_many(((key, result),))
+
+    def put_many(self, items: Iterable[tuple[str, object]]) -> None:
+        """Store every ``(key, result)`` pair in order under one lock.
+
+        Leaves the same entries, recency order and eviction count as one
+        :meth:`put` per pair.
+        """
         if self.max_entries == 0:
             return
         with self._lock:
-            self._entries[key] = result
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            entries = self._entries
+            for key, result in items:
+                entries[key] = result
+                entries.move_to_end(key)
+            while len(entries) > self.max_entries:
+                entries.popitem(last=False)
                 self.evictions += 1
 
     def clear(self) -> None:

@@ -10,9 +10,10 @@ saturated — and starts the shard's runner on the worker pool when none is
 active.  An idle shard therefore solves a request at once, and a busy shard
 coalesces for free: when a solve ends, its runner takes everything queued
 meanwhile, merges it by compatibility key — same configuration shard,
-measurement grid and fit options — and splits it at ``max_batch``.  Each
-batch goes through the shard deconvolver's ``fit_many(engine="batch")``
-against the shard session's warm caches — one stacked multi-RHS solve per
+measurement grid and fit options — folds bit-exact repeats into one solve
+row and splits the distinct rows at ``max_batch``.  Each batch goes
+through the shard deconvolver's ``fit_many(engine="batch")`` against the
+shard session's warm caches — one stacked multi-RHS solve per
 distinct lambda, one shared GCV scoring pass for the whole batch — so the
 marginal cost per request is one gradient plus one row of a batched solve,
 while every response stays bit-identical (to 1e-10) to a direct
@@ -42,7 +43,10 @@ The scheduler is SLO-aware and failure-contained:
   injection at the solve boundary (solver errors, slow solves, cache
   evictions) for the chaos scenario suite.
 
-Results of finished solves are recorded in a content-addressed
+Intake works one batch key at a time: ``submit_many`` groups its requests
+by key and admits, fingerprints and looks up each key block as a whole, and
+``submit`` is the one-request case of the same path.  Results of
+finished solves are recorded in a content-addressed
 :class:`~repro.service.cache.ResultCache`; repeated requests short-circuit
 at submit time without ever entering the queue.  Counters and latency /
 batch-size histograms land in a
@@ -65,7 +69,12 @@ import numpy as np
 
 from repro import config
 from repro.core.session import fit_options_bucket
-from repro.service.cache import ResultCache, request_fingerprint, seed_fingerprint
+from repro.service.cache import (
+    GridFingerprints,
+    ResultCache,
+    request_fingerprint,
+    seed_fingerprint,
+)
 from repro.service.errors import (
     DeadlineExceeded,
     IntakeOverflow,
@@ -122,7 +131,8 @@ class FitRequest:
     def batch_key(self) -> tuple:
         """Coalescing key: requests sharing it solve as one stacked batch.
 
-        The session layer's :func:`~repro.core.session.fit_options_bucket`
+        ``(config, seed token, times bytes, sigma bytes, ...)``: the session
+        layer's :func:`~repro.core.session.fit_options_bucket`
         (fixed-lambda fits on one (grid, sigma) coalesce regardless of their
         lambda values, selection fits also group by method and candidate
         grid) prefixed with the configuration shard and the seed content
@@ -152,58 +162,100 @@ class FitRequest:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class _QueuedItem:
-    """A request in flight: the future to resolve and its timing/cache keys.
+    """A request in flight: the future to resolve and its timing/content keys.
 
-    ``batch_key`` is computed once, by the producer; the shard runners only
-    read it.
+    ``batch_key`` and ``fingerprint`` are computed once, at intake; the
+    shard runners only read them.
     """
 
     request: FitRequest
     future: Future
     enqueued_at: float
     batch_key: tuple
-    cache_key: str | None = field(default=None)
-    deadline_at: float | None = field(default=None)
-    settled: bool = field(default=False)
+    fingerprint: str
+    deadline_at: float | None = None
+    settled: bool = False
 
 
-def _invalid_request(request: FitRequest) -> ValueError | None:
-    """Admission check shared by ``submit`` and ``submit_many``.
+@dataclass
+class _Admission:
+    """What intake made of a list of requests.
 
-    Returns the request's own error, or ``None`` when it may be queued.
-    Malformed content has to fail at admission: inside a coalesced batch a
-    short vector breaks the shared ``column_stack`` and a NaN poisons the
-    shared solve, failing every neighbour with it.
+    One future per request in input order, the queueable items as one group
+    per batch key (input order inside each group) and the outcome counts of
+    the requests that never queue.
     """
-    try:
-        measurements = np.asarray(request.measurements, dtype=float)
-        times = np.asarray(request.times, dtype=float)
-        lam = None if request.lam is None else float(request.lam)
-        deadline = None if request.deadline_ms is None else float(request.deadline_ms)
-    except (TypeError, ValueError) as exc:
-        return ValueError(f"invalid fit request: {exc}")
-    if measurements.ndim != 1 or measurements.shape != times.shape:
-        return ValueError(
-            f"measurements must be 1-D with one value per time point, got shape "
-            f"{measurements.shape} for {times.size} times"
-        )
-    if not np.isfinite(measurements).all():
-        return ValueError("measurements must be finite")
-    if lam is not None and not (math.isfinite(lam) and lam >= 0.0):
-        return ValueError(f"lam must be None or finite and >= 0, got {lam!r}")
-    if deadline is not None and not (math.isfinite(deadline) and deadline >= 0.0):
-        # Not a shed: no amount of retrying makes such a budget feasible.
-        return ValueError(f"deadline_ms must be None or finite and >= 0, got {deadline!r}")
+
+    futures: list[Future]
+    groups: list[list[_QueuedItem]] = field(default_factory=list)
+    hits: int = 0
+    shed: int = 0
+    invalid: int = 0
+
+    def reject(self, position: int, message: str) -> None:
+        self.invalid += 1
+        self.futures[position].set_exception(ValueError(message))
+
+
+def _grid_error(times: np.ndarray, sigma) -> str | None:
+    """Why no request on this ``(times, sigma)`` grid can be solved, or ``None``.
+
+    ``sigma`` already broadcasts to ``times`` (the batch key checked it);
+    like :meth:`~repro.core.deconvolver.Deconvolver.fit`, it must also be
+    finite and positive.
+    """
+    if times.ndim != 1:
+        return f"times must be 1-D, got shape {times.shape}"
+    if sigma is not None:
+        sigma = np.asarray(sigma, dtype=float)
+        if not (np.isfinite(sigma).all() and (sigma > 0.0).all()):
+            return "sigma must be positive and finite"
     return None
 
 
-def _make_item(request: FitRequest, future: Future, now: float, cache_key) -> _QueuedItem:
-    deadline_at = None
-    if request.deadline_ms is not None:
-        deadline_at = now + float(request.deadline_ms) / 1e3
-    return _QueuedItem(request, future, now, request.batch_key(), cache_key, deadline_at)
+def _stack_rows(rows: list, times: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
+    """Stack one block's measurement vectors and admit them.
+
+    Returns the float matrix of the admitted rows, in order, and per input
+    row ``None`` (admitted) or the reason it fails alone.  Malformed content
+    has to fail at admission: inside a coalesced batch a short vector breaks
+    the shared ``column_stack`` and a NaN poisons the shared solve, failing
+    every neighbour with it.
+    """
+    try:
+        matrix = np.array(rows, dtype=float)
+    except (TypeError, ValueError):
+        matrix = None
+    if matrix is not None and matrix.shape == (len(rows), times.size):
+        errors: list[str | None] = [None] * len(rows)
+    else:
+        # Some row has the wrong length or cannot convert: find it.
+        errors, kept = [], []
+        for row in rows:
+            try:
+                vector = np.asarray(row, dtype=float)
+            except (TypeError, ValueError) as exc:
+                errors.append(f"invalid fit request: {exc}")
+                continue
+            if vector.shape != times.shape:
+                errors.append(
+                    f"measurements must be 1-D with one value per time point, got "
+                    f"shape {vector.shape} for {times.size} times"
+                )
+                continue
+            errors.append(None)
+            kept.append(vector)
+        matrix = np.array(kept, dtype=float).reshape(len(kept), times.size)
+    if not np.isfinite(matrix).all():
+        finite = np.isfinite(matrix).all(axis=1)
+        stacked = iter(finite.tolist())
+        for index, error in enumerate(errors):
+            if error is None and not next(stacked):
+                errors[index] = "measurements must be finite"
+        matrix = matrix[finite]
+    return matrix, errors
 
 
 class MicroBatchScheduler:
@@ -216,7 +268,8 @@ class MicroBatchScheduler:
         requests.
     max_batch:
         The dispatch cap: a runner splits what it takes into batches of at
-        most this many requests.
+        most this many distinct solve rows.  Bit-exact repeats share their
+        leader's row, so a batch may carry more requests than rows.
     max_queue:
         Bound on the requests queued for a runner, over all shards;
         :meth:`submit` blocks once it is reached (backpressure) until the
@@ -326,14 +379,6 @@ class MicroBatchScheduler:
         """
         return self._request_cost * self._outstanding
 
-    def _shed_exception(self, request: FitRequest) -> RequestShed | None:
-        if request.deadline_ms is None:
-            return None
-        projected = self.projected_wait_seconds() * 1e3
-        if projected <= float(request.deadline_ms):
-            return None
-        return RequestShed(projected, float(request.deadline_ms))
-
     def _put(self, items: list[_QueuedItem], timeout: float | None) -> int:
         """Queue the longest prefix of one same-key group that fits.
 
@@ -342,7 +387,9 @@ class MicroBatchScheduler:
         frees within ``timeout`` seconds.  Starts the shard's runner when
         the shard is inactive.  Returns the number of requests queued.
         """
-        if not self._not_full.wait_for(lambda: self._queued < self.max_queue, timeout):
+        if self._queued >= self.max_queue and not self._not_full.wait_for(
+            lambda: self._queued < self.max_queue, timeout
+        ):
             raise queue.Full
         accepted = min(len(items), self.max_queue - self._queued)
         shard = items[0].batch_key[0]
@@ -359,59 +406,203 @@ class MicroBatchScheduler:
             self._executor.submit(self._run_shard, shard)
         return accepted
 
-    def submit(self, request: FitRequest, *, timeout: float | None = None) -> Future:
-        """Queue one request; returns a future resolving to its result.
+    def _admit(self, requests: Sequence[FitRequest]) -> _Admission:
+        """Admission, fingerprints and cache lookups, once per batch-key block.
 
-        A malformed request (non-finite or mis-shaped measurements, a
-        negative or non-finite ``lam`` or ``deadline_ms``) fails its own
-        future with ``ValueError`` and is never queued.  Cache hits resolve
-        immediately without entering the queue.  A request with a
-        ``deadline_ms`` the service cannot meet is shed up front: its future
-        fails with :class:`~repro.service.errors.RequestShed` and nothing is
-        queued.  When ``max_queue`` requests are already queued the call
-        blocks (backpressure) until space frees, or raises
-        :class:`queue.Full` after ``timeout`` seconds if a timeout is given.
-        ``timeout=0`` never blocks: if the queue is full, or another
-        producer holds the accept lock (a ``submit_many`` blocked
-        mid-list), it raises :class:`queue.Full` at once and queues nothing
-        — the event-loop submit of the network edge relies on this.  Raises
-        :class:`RuntimeError` after :meth:`shutdown` and
-        :class:`~repro.service.errors.SchedulerCrashed` after a runner crash
-        (for cached and uncached content alike).
+        Request positions are grouped by batch key first; a request whose
+        key cannot be formed (e.g. a ``sigma`` that does not broadcast to its
+        ``times``) fails alone.  Then each block is checked and looked up as
+        a whole, see :meth:`_admit_block`.
         """
         self._check_open()
-        future: Future = Future()
-        invalid = _invalid_request(request)
-        if invalid is not None:
-            self.telemetry.record_batch({"requests": 1, "errors": 1}, {})
-            future.set_exception(invalid)
-            return future
-        cache_key = request.fingerprint() if self.cache.max_entries > 0 else None
-        if cache_key is not None:
-            cached = self.cache.get(cache_key)
-            if cached is not None:
-                self.telemetry.record_batch(
-                    {"requests": 1, "cache_hits": 1, "completed": 1},
-                    {"latency_seconds": [0.0]},
+        admission = _Admission([Future() for _ in requests])
+        blocks: dict[tuple, list[int]] = {}
+        for position, request in enumerate(requests):
+            try:
+                blocks.setdefault(request.batch_key(), []).append(position)
+            except (TypeError, ValueError) as exc:
+                admission.reject(position, f"invalid fit request: {exc}")
+        now = time.perf_counter()
+        projected_ms = self.projected_wait_seconds() * 1e3
+        for key, positions in blocks.items():
+            self._admit_block(requests, key, positions, admission, now, projected_ms)
+        return admission
+
+    def _admit_block(
+        self,
+        requests: Sequence[FitRequest],
+        key: tuple,
+        positions: list[int],
+        admission: _Admission,
+        now: float,
+        projected_ms: float,
+    ) -> None:
+        """Admit the requests of one batch key at ``positions``.
+
+        The grid (``times`` 1-D, ``sigma`` finite and positive) is checked
+        once and the rows are stacked and checked for length and finiteness
+        together.  Each admitted row is fingerprinted from one shared hash
+        prefix (:class:`~repro.service.cache.GridFingerprints`, identical to
+        :func:`request_fingerprint`) and the whole block is looked up in the
+        result cache at once.  ``lam``, ``deadline_ms`` and the deadline
+        shed stay per request.  What is neither failed, a cache hit nor shed
+        becomes this key's group.
+        """
+        first = requests[positions[0]]
+        times = np.asarray(first.times, dtype=float)
+        error = _grid_error(times, first.sigma)
+        if error is not None:
+            for position in positions:
+                admission.reject(position, error)
+            return
+        matrix, errors = _stack_rows([requests[p].measurements for p in positions], times)
+        # The batch key already holds the grid's identity bytes.
+        config, seed_key, times_key, sigma_key = key[:4]
+        fingerprints = GridFingerprints(config, times_key, sigma_key, seed_key)
+        by_config: dict[str, GridFingerprints] = {}
+        data = matrix.tobytes()
+        width = times.size * matrix.itemsize
+        end = 0
+        admitted: list[tuple[int, float | None, str]] = []
+        for position, error in zip(positions, errors):
+            if error is None:
+                request = requests[position]
+                start, end = end, end + width
+                try:
+                    lam = None if request.lam is None else float(request.lam)
+                    deadline = None if request.deadline_ms is None else float(request.deadline_ms)
+                    if lam is not None and not (math.isfinite(lam) and lam >= 0.0):
+                        error = f"lam must be None or finite and >= 0, got {lam!r}"
+                    elif deadline is not None and not (math.isfinite(deadline) and deadline >= 0.0):
+                        # Not a shed: no amount of retrying makes such a
+                        # budget feasible.
+                        error = f"deadline_ms must be None or finite and >= 0, got {deadline!r}"
+                    else:
+                        grid = fingerprints
+                        if request.config is not config:
+                            # Equal configuration keys may differ in repr.
+                            name = repr(request.config)
+                            grid = by_config.get(name)
+                            if grid is None:
+                                grid = by_config[name] = GridFingerprints(
+                                    request.config, times_key, sigma_key, seed_key
+                                )
+                        # Fixed-lambda blocks do not key on the method or
+                        # the candidate grid, but the fingerprint covers them.
+                        admitted.append(
+                            (
+                                position,
+                                deadline,
+                                grid(
+                                    data[start:end],
+                                    lam,
+                                    request.lambda_method,
+                                    request.lambda_grid,
+                                ),
+                            )
+                        )
+                        continue
+                except (AttributeError, TypeError, ValueError) as exc:
+                    error = f"invalid fit request: {exc}"
+            admission.reject(position, error)
+        if self.cache.max_entries:
+            cached = self.cache.get_many([fingerprint for _, _, fingerprint in admitted])
+        else:
+            cached = [None] * len(admitted)
+        group: list[_QueuedItem] = []
+        futures = admission.futures
+        for (position, deadline, fingerprint), hit in zip(admitted, cached):
+            if hit is not None:
+                admission.hits += 1
+                futures[position].set_result(hit)
+            elif deadline is None:
+                group.append(_QueuedItem(requests[position], futures[position], now, key, fingerprint))
+            elif projected_ms > deadline:
+                admission.shed += 1
+                futures[position].set_exception(RequestShed(projected_ms, deadline))
+            else:
+                group.append(
+                    _QueuedItem(
+                        requests[position],
+                        futures[position],
+                        now,
+                        key,
+                        fingerprint,
+                        now + deadline / 1e3,
+                    )
                 )
-                future.set_result(cached)
-                return future
-        shed = self._shed_exception(request)
-        if shed is not None:
-            self.telemetry.record_batch({"requests": 1, "shed": 1}, {})
-            future.set_exception(shed)
-            return future
-        item = _make_item(request, future, time.perf_counter(), cache_key)
+        if group:
+            admission.groups.append(group)
+
+    def _record_intake(self, admission: _Admission, rejected: int = 0) -> None:
+        hits = admission.hits
+        if not (hits or admission.shed or admission.invalid or rejected):
+            self.telemetry.increment("requests", len(admission.futures))
+            return
+        self.telemetry.record_batch(
+            {
+                "requests": len(admission.futures),
+                "cache_hits": hits,
+                "completed": hits,
+                "shed": admission.shed,
+                "errors": admission.invalid,
+                "rejected": rejected,
+            },
+            {"latency_seconds": [0.0] * hits},
+        )
+
+    def _enqueue(self, pending: list[list[_QueuedItem]], timeout: float | None) -> None:
+        """Queue every group of ``pending`` under one accept-lock hold.
+
+        Groups are removed from ``pending`` as they are queued, so on
+        :class:`queue.Full` it holds exactly what was not.  ``timeout=0``
+        never blocks, not even on the accept lock.
+        """
+        if not pending:
+            return
         if not self._accept_lock.acquire(blocking=timeout != 0):
             raise queue.Full
         try:
             self._check_open()
             with self._not_full:
-                self._put([item], timeout)
+                while pending:
+                    # Each slice is counted as it is queued: if a wait times
+                    # out mid-list, the queued items stay correctly
+                    # accounted and drain()/shutdown() still converge.
+                    accepted = self._put(pending[0], timeout)
+                    if accepted == len(pending[0]):
+                        pending.pop(0)
+                    else:
+                        pending[0] = pending[0][accepted:]
         finally:
             self._accept_lock.release()
-        self.telemetry.increment("requests")
-        return future
+
+    def submit(self, request: FitRequest, *, timeout: float | None = None) -> Future:
+        """Queue one request; returns a future resolving to its result.
+
+        The one-request case of :meth:`submit_many`, and admitted the same
+        way: a malformed request (non-finite or mis-shaped measurements, a
+        ``sigma`` that is not finite and positive or does not fit ``times``,
+        a negative or non-finite ``lam`` or ``deadline_ms``) fails its own
+        future with ``ValueError`` and is never queued.  Cache hits resolve
+        immediately without entering the queue.  A request with a
+        ``deadline_ms`` the service cannot meet is shed up front: its future
+        fails with :class:`~repro.service.errors.RequestShed` and nothing is
+        queued.  When ``max_queue`` requests are already queued the call
+        blocks (backpressure) until space frees, or raises plain
+        :class:`queue.Full` after ``timeout`` seconds if a timeout is given;
+        no future is returned then.  ``timeout=0`` never blocks: if the
+        queue is full, or another producer holds the accept lock (a
+        ``submit_many`` blocked mid-list), it raises :class:`queue.Full` at
+        once and queues nothing — the event-loop submit of the network edge
+        relies on this.  Raises :class:`RuntimeError` after :meth:`shutdown`
+        and :class:`~repro.service.errors.SchedulerCrashed` after a runner
+        crash (for cached and uncached content alike).
+        """
+        admission = self._admit([request])
+        self._enqueue(admission.groups, timeout)
+        self._record_intake(admission)
+        return admission.futures[0]
 
     def submit_many(
         self, requests: Iterable[FitRequest], *, timeout: float | None = None
@@ -421,10 +612,12 @@ class MicroBatchScheduler:
         Semantically ``[submit(r) for r in requests]`` (malformed requests
         fail alone, cache hits resolve immediately, deadline-infeasible
         requests shed, the rest are queued in order within each batch key)
-        but the accept lock, the shard lock and telemetry are taken once for
-        the whole list and each shard queue receives one group per batch
-        key, which matters for bulk producers feeding hundreds of requests
-        at a time.
+        but the work runs once per batch key: the grid checks, the stacked
+        finiteness check, the fingerprint prefix and the cache lookup cover
+        a whole key block, the accept lock, the shard lock and telemetry
+        are taken once for the whole list and each shard queue receives one
+        group per batch key, which matters for bulk producers feeding
+        hundreds of requests at a time.
 
         If a ``timeout`` is given and the queue stays full, the call raises
         :class:`~repro.service.errors.IntakeOverflow` (a
@@ -434,87 +627,32 @@ class MicroBatchScheduler:
         processed), its ``rejected`` lists, in input order, the requests
         that were never queued.  The rejected requests' futures are failed
         with the same overflow error, so nothing silently drops and nothing
-        hangs.
+        hangs.  As with :meth:`submit`, ``timeout=0`` never blocks.
         """
-        self._check_open()
-        futures: list[Future] = []
-        hits = 0
-        shed = 0
-        invalid = 0
-        queued: list[_QueuedItem] = []
-        groups: dict[tuple, list[_QueuedItem]] = {}
-        now = time.perf_counter()
-        for request in requests:
-            future = Future()
-            futures.append(future)
-            error = _invalid_request(request)
-            if error is not None:
-                invalid += 1
-                future.set_exception(error)
-                continue
-            cache_key = request.fingerprint() if self.cache.max_entries > 0 else None
-            cached = self.cache.get(cache_key) if cache_key is not None else None
-            if cached is not None:
-                hits += 1
-                future.set_result(cached)
-                continue
-            shed_exc = self._shed_exception(request)
-            if shed_exc is not None:
-                shed += 1
-                future.set_exception(shed_exc)
-                continue
-            item = _make_item(request, future, now, cache_key)
-            queued.append(item)
-            groups.setdefault(item.batch_key, []).append(item)
-        pending = list(groups.values())
+        requests = list(requests)
+        admission = self._admit(requests)
+        pending = admission.groups
         try:
-            with self._accept_lock:
-                self._check_open()
-                with self._not_full:
-                    while pending:
-                        # Each slice is counted as it is queued: if a wait
-                        # times out mid-list, the queued items stay
-                        # correctly accounted and drain()/shutdown() still
-                        # converge.
-                        accepted = self._put(pending[0], timeout)
-                        if accepted == len(pending[0]):
-                            pending.pop(0)
-                        else:
-                            pending[0] = pending[0][accepted:]
+            self._enqueue(pending, timeout)
         except queue.Full:
-            rejected_futures = {id(item.future) for group in pending for item in group}
-            rejected_items = [item for item in queued if id(item.future) in rejected_futures]
+            rejected = {id(item.future) for group in pending for item in group}
             overflow = IntakeOverflow(
-                [f for f in futures if id(f) not in rejected_futures],
-                [item.request for item in rejected_items],
+                [future for future in admission.futures if id(future) not in rejected],
+                [
+                    request
+                    for request, future in zip(requests, admission.futures)
+                    if id(future) in rejected
+                ],
             )
-            for item in rejected_items:
-                # Never counted as outstanding, so fail directly (no
-                # _settled bookkeeping) — the future must not hang.
-                item.future.set_exception(overflow)
-            self.telemetry.record_batch(
-                {
-                    "requests": len(futures),
-                    "cache_hits": hits,
-                    "completed": hits,
-                    "shed": shed,
-                    "errors": invalid,
-                    "rejected": len(rejected_items),
-                },
-                {"latency_seconds": [0.0] * hits},
-            )
+            for group in pending:
+                for item in group:
+                    # Never counted as outstanding, so fail directly (no
+                    # _settled bookkeeping) — the future must not hang.
+                    item.future.set_exception(overflow)
+            self._record_intake(admission, rejected=len(rejected))
             raise overflow from None
-        self.telemetry.record_batch(
-            {
-                "requests": len(futures),
-                "cache_hits": hits,
-                "completed": hits,
-                "shed": shed,
-                "errors": invalid,
-            },
-            {"latency_seconds": [0.0] * hits},
-        )
-        return futures
+        self._record_intake(admission)
+        return admission.futures
 
     def map(self, requests: Iterable[FitRequest]) -> list:
         """Submit ``requests`` and block for their results, in input order."""
@@ -632,22 +770,37 @@ class MicroBatchScheduler:
             self._not_full.notify_all()
         return taken
 
-    def _batches(self, taken: list[list[_QueuedItem]]) -> list[list[_QueuedItem]]:
-        """Merge groups by batch key, split at ``max_batch``, highest priority first.
+    def _batches(
+        self, taken: list[list[_QueuedItem]]
+    ) -> list[list[list[_QueuedItem]]]:
+        """Merge groups by batch key, dedup, split at ``max_batch`` rows.
 
         This is the only place batches are formed: whatever queued up while
-        the previous solve ran coalesces here, however it arrived.  The sort
-        is stable, so ties keep arrival order.
+        the previous solve ran coalesces here, however it arrived.  A batch
+        is a list of solve rows and a row holds every request taken with one
+        fingerprint, so bit-exact repeats ride with their leader and
+        ``max_batch`` caps the distinct rows of one stacked solve.  Batches
+        run highest priority first; the sort is stable, so ties keep arrival
+        order.
         """
-        merged: dict[tuple, list[_QueuedItem]] = {}
+        merged: dict[tuple, dict[str, list[_QueuedItem]]] = {}
         for group in taken:
-            merged.setdefault(group[0].batch_key, []).extend(group)
-        batches = [
-            items[start : start + self.max_batch]
-            for items in merged.values()
-            for start in range(0, len(items), self.max_batch)
-        ]
-        batches.sort(key=lambda batch: -max(item.request.priority for item in batch))
+            rows = merged.setdefault(group[0].batch_key, {})
+            for item in group:
+                row = rows.get(item.fingerprint)
+                if row is None:
+                    rows[item.fingerprint] = [item]
+                else:
+                    row.append(item)
+        size = self.max_batch
+        batches = []
+        for rows in merged.values():
+            distinct = list(rows.values())
+            batches += [distinct[start : start + size] for start in range(0, len(distinct), size)]
+        if len(batches) > 1:
+            batches.sort(
+                key=lambda batch: -max(item.request.priority for row in batch for item in row)
+            )
         return batches
 
     def _on_runner_crash(self, exc: BaseException, taken: list[_QueuedItem]) -> None:
@@ -736,15 +889,16 @@ class MicroBatchScheduler:
         taken = None
         try:
             while (taken := self._take(shard)) is not None:
-                for items in self._batches(taken):
+                for batch in self._batches(taken):
                     try:
-                        self._run_batch(entry, items)
+                        self._run_batch(entry, batch)
                     except BaseException as exc:
                         # A runner must never strand its batch: the settled
                         # guard makes double-failing already-resolved items
                         # a no-op.
-                        for item in items:
-                            self._fail(item, exc)
+                        for row in batch:
+                            for item in row:
+                                self._fail(item, exc)
         except BaseException as exc:
             self._on_runner_crash(exc, [item for group in taken or () for item in group])
         finally:
@@ -834,134 +988,108 @@ class MicroBatchScheduler:
         )
         self.telemetry.observe("solve_seconds", solve_seconds)
 
-    def _run_batch(self, entry, items: Sequence[_QueuedItem]) -> None:
-        # Triage pass: late cache hits (an earlier batch may have solved
-        # identical content since these items were queued) deliver even when
-        # stale — delivery is free; everything else is checked against its
-        # deadline before any solve time is spent, then deduplicated so
-        # bit-exact repeats inside one batch need a single solve row.
+    def _run_batch(self, entry, batch: list[list[_QueuedItem]]) -> None:
+        # Triage pass: a row an earlier batch has solved since it was queued
+        # is a late cache hit and delivers even when stale — delivery is
+        # free; every other request is checked against its deadline before
+        # any solve time is spent, and the first live request of each row
+        # is its solve row.
         now = time.perf_counter()
-        ready: list[tuple[_QueuedItem, object]] = []
-        to_solve: list[_QueuedItem] = []
-        missed = 0
-        leaders: dict[str, int] = {}
-        duplicates: dict[int, list[_QueuedItem]] = {}
-        for item in items:
-            key = item.cache_key
-            if key is not None:
-                cached = self.cache.get(key)
-                if cached is not None:
-                    ready.append((item, cached))
-                    continue
-            if item.deadline_at is not None and now > item.deadline_at:
-                self._miss_deadline(item, now)
-                missed += 1
+        if self.cache.max_entries:
+            cached = self.cache.get_many([row[0].fingerprint for row in batch])
+        else:
+            cached = [None] * len(batch)
+        ready: list[tuple[list[_QueuedItem], object]] = []
+        rows: list[list[_QueuedItem]] = []
+        size = hits = missed = 0
+        for row, hit in zip(batch, cached):
+            size += len(row)
+            if hit is not None:
+                ready.append((row, hit))
+                hits += len(row)
                 continue
-            if key is not None:
-                leader = leaders.get(key)
-                if leader is not None:
-                    duplicates.setdefault(leader, []).append(item)
-                    continue
-                leaders[key] = len(to_solve)
-            to_solve.append(item)
-        deduplicated = len(items) - len(ready) - len(to_solve) - missed
+            live = []
+            for item in row:
+                if item.deadline_at is not None and now > item.deadline_at:
+                    self._miss_deadline(item, now)
+                    missed += 1
+                else:
+                    live.append(item)
+            if live:
+                rows.append(live)
         results: list = []
-        if to_solve:
+        if rows:
+            leaders = [row[0] for row in rows]
             breaker = self._breaker_for(entry.key)
             degraded = not breaker.allow()
             if not degraded:
                 try:
-                    results = self._solve_fast(entry, to_solve)
+                    results = self._solve_fast(entry, leaders)
                 except Exception as exc:
-                    if breaker.state == "open":
-                        # The failure (or an earlier one) tripped the shard:
-                        # serve this batch on the degraded path instead of
-                        # failing it.
-                        degraded = True
-                    else:
-                        now = time.perf_counter()
-                        self.telemetry.record_batch(
-                            {
-                                "batches": 1,
-                                "batched_requests": len(items),
-                                "cache_hits": len(ready),
-                                "deduplicated": deduplicated,
-                                "completed": len(ready),
-                            },
-                            {
-                                "batch_size": [len(items)],
-                                "latency_seconds": [
-                                    now - item.enqueued_at for item, _ in ready
-                                ],
-                            },
-                        )
-                        for index, item in enumerate(to_solve):
-                            self._fail(item, exc)
-                            for duplicate in duplicates.get(index, []):
-                                self._fail(duplicate, exc)
-                        for item, result in ready:
-                            self._resolve(item, result)
-                        return
+                    # A failure that tripped the shard (now or earlier)
+                    # serves this batch on the degraded path instead of
+                    # failing it.
+                    degraded = breaker.state == "open"
+                    results = [exc] * len(rows)
             if degraded:
-                results = self._solve_degraded(entry, to_solve)
+                results = self._solve_degraded(entry, leaders)
+        solved = []
+        for row, result in zip(rows, results):
+            if isinstance(result, BaseException):
+                for item in row:
+                    self._fail(item, result)
+            else:
+                solved.append((row, result))
+        if solved and self.cache.max_entries:
+            # A cached result must not pin its shard session's factorization
+            # caches past pool eviction; releasing keeps the lazy
+            # diagnostics and costs only attribute rebinds.
+            self.cache.put_many(
+                [(row[0].fingerprint, result.release_backing_caches()) for row, result in solved]
+            )
+            if self.fault_plan is not None:
+                self.fault_plan.on_cache_store(self.cache)
         now = time.perf_counter()
         latencies = []
-        resolved = 0
-        stored = 0
-        for index, (item, result) in enumerate(zip(to_solve, results)):
-            if isinstance(result, BaseException):
-                self._fail(item, result)
-                for duplicate in duplicates.get(index, []):
-                    self._fail(duplicate, result)
-                continue
-            if item.cache_key is not None:
-                # A cached result must not pin its shard session's
-                # factorization caches past pool eviction; releasing keeps
-                # the lazy diagnostics and costs only attribute rebinds.
-                self.cache.put(item.cache_key, result.release_backing_caches())
-                stored += 1
-            latencies.append(now - item.enqueued_at)
-            self._resolve(item, result)
-            resolved += 1
-            for duplicate in duplicates.get(index, []):
-                latencies.append(now - duplicate.enqueued_at)
-                self._resolve(duplicate, result)
-                resolved += 1
-        for item, result in ready:
-            latencies.append(now - item.enqueued_at)
-            self._resolve(item, result)
-            resolved += 1
-        if stored and self.fault_plan is not None:
-            self.fault_plan.on_cache_store(self.cache)
+        try:
+            for row, result in solved + ready:
+                for item in row:
+                    if self._deliver(item, result):
+                        latencies.append(now - item.enqueued_at)
+        finally:
+            # One outstanding-count update for everything delivered.
+            self._settled(len(latencies))
         self.telemetry.record_batch(
             {
                 "batches": 1,
-                "batched_requests": len(items),
-                "cache_hits": len(ready),
-                "deduplicated": deduplicated,
-                "completed": resolved,
+                "batched_requests": size,
+                "cache_hits": hits,
+                "deduplicated": size - hits - missed - len(rows),
+                "completed": len(latencies),
             },
-            {"batch_size": [len(items)], "latency_seconds": latencies},
+            {"batch_size": [size], "latency_seconds": latencies},
         )
 
     def _settle(self, item: _QueuedItem) -> bool:
         # Each item is owned by exactly one thread at a time (its producer,
         # then whoever takes it from the shard queue under the shard lock:
-        # a runner, the crash sweep or a discarding shutdown), so a plain flag is enough to make resolution
-        # idempotent — the crash paths may re-fail a batch defensively.
+        # a runner, the crash sweep or a discarding shutdown), so a plain
+        # flag is enough to make resolution idempotent — the crash paths may
+        # re-fail a batch defensively.
         if item.settled:
             return False
         item.settled = True
         return True
 
-    def _resolve(self, item: _QueuedItem, result: object) -> None:
+    def _deliver(self, item: _QueuedItem, result: object) -> bool:
+        """Resolve ``item`` unless already settled; the caller updates the count."""
         if not self._settle(item):
-            return
+            return False
         try:
             item.future.set_result(result)
         except InvalidStateError:  # future was cancelled by the caller
             pass
-        self._settled()
+        return True
 
     def _fail(self, item: _QueuedItem, exc: BaseException) -> None:
         if not self._settle(item):
@@ -993,8 +1121,10 @@ class MicroBatchScheduler:
         item.future.cancel()
         self._settled()
 
-    def _settled(self) -> None:
+    def _settled(self, count: int = 1) -> None:
+        if not count:
+            return
         with self._outstanding_cond:
-            self._outstanding -= 1
+            self._outstanding -= count
             if self._outstanding == 0:
                 self._outstanding_cond.notify_all()

@@ -74,7 +74,9 @@ def ensure_1d(values: Sequence[float] | np.ndarray, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must not be empty")
-    if not np.all(np.isfinite(arr)):
+    # The method form skips numpy's Python-level ``np.all`` wrapper, which
+    # costs more than the check itself on the per-request solve path.
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -86,7 +88,9 @@ def ensure_2d(values: Sequence[Sequence[float]] | np.ndarray, name: str) -> np.n
         raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must not be empty")
-    if not np.all(np.isfinite(arr)):
+    # The method form skips numpy's Python-level ``np.all`` wrapper, which
+    # costs more than the check itself on the per-request solve path.
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 

@@ -15,10 +15,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.deconvolver import Deconvolver
 from repro.data.synthetic import single_pulse_profile
 from repro.service import (
+    FaultPlan,
     FitRequest,
     IntakeOverflow,
     MicroBatchScheduler,
@@ -118,6 +121,7 @@ def _malformed(request, kind):
     measurements = request.measurements.copy()
     lam = request.lam
     deadline_ms = request.deadline_ms
+    sigma = request.sigma
     if kind == "nan":
         measurements[1] = np.nan
     elif kind == "short":
@@ -126,12 +130,19 @@ def _malformed(request, kind):
         deadline_ms = -5.0
     elif kind == "infinite_deadline":
         deadline_ms = float("inf")
+    elif kind == "short_sigma":
+        sigma = np.full(3, 0.1)
+    elif kind == "nan_sigma":
+        sigma = np.full(request.times.size, 0.1)
+        sigma[0] = np.nan
+    elif kind == "negative_sigma":
+        sigma = np.full(request.times.size, -0.1)
     else:
         lam = -1e-3
     # Every other field is kept, so the bad request coalesces with its
-    # neighbours' batch key whenever its shape allows.
+    # neighbours' batch key whenever its shape and sigma allow.
     return dataclasses.replace(
-        request, measurements=measurements, lam=lam, deadline_ms=deadline_ms
+        request, measurements=measurements, lam=lam, deadline_ms=deadline_ms, sigma=sigma
     )
 
 
@@ -179,6 +190,62 @@ class TestMalformedRequestsFailAlone:
         assert counters.get("degraded_requests", 0) == 0
         assert counters["errors"] == len(bad_positions)
 
+    @pytest.mark.parametrize("intake", ["submit", "submit_many"])
+    @pytest.mark.parametrize("kind", ["short_sigma", "nan_sigma", "negative_sigma"])
+    def test_bad_sigma_fails_alone(self, factory, workload, kind, intake):
+        # Bad sigmas, each its own batch key, ahead of the valid requests:
+        # each fails with ValueError, like a serial fit, instead of aborting
+        # the call or failing at solve time as a server fault that trips the
+        # breaker.
+        bad = [
+            dataclasses.replace(spoilt, sigma=spoilt.sigma * (1.0 + 0.01 * k))
+            for k, spoilt in enumerate(_malformed(request, kind) for request in workload)
+        ]
+        requests = bad + list(workload)
+        pool = SessionPool(factory)
+        with MicroBatchScheduler(pool, max_batch=32) as scheduler:
+            if intake == "submit":
+                futures = [scheduler.submit(request) for request in requests]
+            else:
+                futures = scheduler.submit_many(requests)
+            scheduler.drain(timeout=60.0)
+            counters = scheduler.telemetry.snapshot()["counters"]
+        reference = factory("reference")
+        for future, request in zip(futures, bad):
+            with pytest.raises(ValueError):
+                future.result(timeout=0)
+            with pytest.raises(ValueError):
+                reference.fit(request.times, request.measurements, sigma=request.sigma)
+        results = [future.result(timeout=0) for future in futures[len(bad) :]]
+        references = serial_reference(factory("reference"), workload)
+        assert max_coefficient_gap(results, references) <= 1e-10
+        assert [r.lam for r in results] == [r.lam for r in references]
+        assert counters.get("breaker_trips", 0) == 0
+        assert counters.get("degraded_requests", 0) == 0
+        assert counters["errors"] == len(bad)
+
+
+class _WidthRecorder(FaultPlan):
+    """A pure-observer fault plan recording the row count of every solve."""
+
+    def __init__(self):
+        super().__init__()
+        self.widths = []
+
+    def before_solve(self, shard, batch_size):
+        self.widths.append(batch_size)
+        super().before_solve(shard, batch_size)
+
+
+def _with_repeats(group, count):
+    """``count`` requests cycling through ``group``'s contents (fresh arrays)."""
+    return [
+        dataclasses.replace(
+            group[k % len(group)], measurements=group[k % len(group)].measurements.copy()
+        )
+        for k in range(count)
+    ]
+
 
 class TestCacheAndDedup:
     def test_cache_hit_short_circuits_resolved_future(self, factory, workload):
@@ -210,6 +277,22 @@ class TestCacheAndDedup:
             results = scheduler.map([request, repeat])
             assert scheduler.telemetry.counter("deduplicated") == 1
         assert np.array_equal(results[0].coefficients, results[1].coefficients)
+
+    def test_disabled_cache_still_dedups(self, factory, workload):
+        # Ten same-key requests with four distinct contents: dedup keys on
+        # the fingerprint, not on the cache being enabled.
+        requests = _with_repeats(_same_key_group(workload[1], 4), 10)
+        plan = _WidthRecorder()
+        pool = SessionPool(factory)
+        with MicroBatchScheduler(
+            pool, cache=ResultCache(0), fault_plan=plan
+        ) as scheduler:
+            results = scheduler.map(requests)
+            assert scheduler.telemetry.counter("deduplicated") == 6
+        assert plan.widths == [4]
+        references = serial_reference(factory("reference"), requests)
+        assert max_coefficient_gap(results, references) <= 1e-10
+        assert [r.lam for r in results] == [r.lam for r in references]
 
     def test_disabled_cache_still_correct(self, factory, workload):
         pool = SessionPool(factory)
@@ -583,6 +666,210 @@ class TestIdleDispatch:
         assert snapshot["counters"]["batches"] == 1 + 3  # the blocker, then 4 + 4 + 2
         references = serial_reference(factory("reference"), group)
         assert max_coefficient_gap(results, references) <= 1e-10
+
+
+    def test_repeats_ride_with_their_leader_past_max_batch(
+        self, factory, workload, hold_shard
+    ):
+        # Dedup runs before the max_batch split: ten requests with four
+        # distinct contents are one batch of four solve rows, not 4 + 4 + 2.
+        plan = _WidthRecorder()
+        scheduler = MicroBatchScheduler(
+            SessionPool(factory), max_batch=4, fault_plan=plan
+        )
+        requests = _with_repeats(_same_key_group(workload[1], 4), 10)
+        release = hold_shard(scheduler)
+        try:
+            scheduler.submit(workload[0])
+            deadline = time.perf_counter() + 5.0
+            while scheduler.queue_depth() > 0 and time.perf_counter() < deadline:
+                time.sleep(0.001)
+            futures = scheduler.submit_many(requests)
+            assert scheduler.queue_depth() == len(requests)
+        finally:
+            release()
+        try:
+            results = [future.result(timeout=30) for future in futures]
+            snapshot = scheduler.telemetry.snapshot()
+        finally:
+            scheduler.shutdown()
+        assert plan.widths == [1, 4]
+        assert snapshot["counters"]["batches"] == 1 + 1
+        assert snapshot["counters"]["deduplicated"] == 6
+        assert snapshot["histograms"]["batch_size"]["max"] == len(requests)
+        references = serial_reference(factory("reference"), requests)
+        assert max_coefficient_gap(results, references) <= 1e-10
+
+
+_CONFIGS = ["default", "alt", 1, 1.0, True, ("grid", 2)]
+_SEEDS = [
+    lambda k: k,
+    lambda k: np.random.SeedSequence(k),
+    lambda k: np.random.default_rng(k),
+]
+
+
+@st.composite
+def _content_requests(draw):
+    """A request of arbitrary content; nothing ever solves it."""
+    size = draw(st.sampled_from([6, 9]))
+    content = draw(st.integers(0, 3))  # small, so contents repeat
+    grid = draw(st.sampled_from([None, 5, 7]))
+    return FitRequest(
+        times=np.linspace(0.0, 100.0, size),
+        measurements=np.random.default_rng(content).normal(size=size),
+        sigma=draw(st.sampled_from([None, 0.5, np.linspace(0.2, 0.4, size)])),
+        lam=draw(st.one_of(st.none(), st.sampled_from([0.0, -0.0, 1e-3, 0.1]))),
+        lambda_method=draw(st.sampled_from(["gcv", "kfold", "lcurve"])),
+        lambda_grid=None if grid is None else np.logspace(-4.0, 0.0, grid),
+        rng=draw(st.sampled_from(_SEEDS))(draw(st.integers(0, 2))),
+        config=draw(st.sampled_from(_CONFIGS)),
+    )
+
+
+def _never_built(_key):
+    raise AssertionError("a cache hit must not reach a solve")
+
+
+_KINDS = ["valid"] * 4 + [
+    "nan",
+    "short",
+    "negative_lam",
+    "negative_deadline",
+    "short_sigma",
+    "nan_sigma",
+    "negative_sigma",
+]
+
+
+def _picked(workload, picks):
+    """Fresh request objects: ``workload[index]``, malformed per ``kind``."""
+    return [
+        dataclasses.replace(workload[index]) if kind == "valid" else _malformed(workload[index], kind)
+        for index, kind in picks
+    ]
+
+
+def _outcome(future):
+    exc = future.exception(timeout=60)
+    return exc if exc is not None else future.result()
+
+
+_PICKS = st.lists(
+    st.tuples(st.integers(0, 23), st.sampled_from(_KINDS)), min_size=1, max_size=14
+)
+
+
+class TestKeyBlocks:
+    """Intake admits, fingerprints and looks up one batch-key block at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(requests=st.lists(_content_requests(), min_size=1, max_size=12))
+    def test_block_fingerprint_matches_request_fingerprint(self, requests):
+        expected = [request.fingerprint() for request in requests]
+        # Entries keyed by request_fingerprint must hit from the block path:
+        # every future resolves from the cache and nothing is solved.
+        cache = ResultCache()
+        sentinels = {fingerprint: object() for fingerprint in expected}
+        for fingerprint, sentinel in sentinels.items():
+            cache.put(fingerprint, sentinel)
+        scheduler = MicroBatchScheduler(SessionPool(_never_built), cache=cache)
+        try:
+            bulk = scheduler.submit_many(requests)
+            single = [scheduler.submit(request) for request in requests]
+        finally:
+            scheduler.shutdown()
+        for fingerprint, many, one in zip(expected, bulk, single):
+            assert many.result(timeout=0) is sentinels[fingerprint]
+            assert one.result(timeout=0) is sentinels[fingerprint]
+        assert scheduler.telemetry.counter("cache_hits") == 2 * len(requests)
+
+    def test_equal_configs_keep_their_own_fingerprints(self):
+        # 1 == 1.0 == True share a batch key but not a repr, so each needs
+        # its own fingerprint prefix.
+        times = np.linspace(0.0, 100.0, 6)
+        requests = [
+            FitRequest(times=times.copy(), measurements=np.ones(6), lam=0.1, config=config)
+            for config in (1, 1.0, True)
+        ]
+        assert len({request.batch_key() for request in requests}) == 1
+        assert len({request.fingerprint() for request in requests}) == 3
+        cache = ResultCache()
+        for request in requests:
+            cache.put(request.fingerprint(), request)
+        with MicroBatchScheduler(SessionPool(_never_built), cache=cache) as scheduler:
+            futures = scheduler.submit_many(requests)
+        assert all(
+            future.result(timeout=0) is request for future, request in zip(futures, requests)
+        )
+
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(picks=_PICKS)
+    def test_submit_many_matches_submit_one_by_one(self, factory, workload, picks):
+        requests = _picked(workload, picks)
+        outcomes = []
+        for intake in ("submit_many", "submit"):
+            with MicroBatchScheduler(SessionPool(factory), max_batch=8) as scheduler:
+                if intake == "submit_many":
+                    futures = scheduler.submit_many(requests)
+                else:
+                    futures = [scheduler.submit(request) for request in requests]
+                outcomes.append([_outcome(future) for future in futures])
+                counters = scheduler.telemetry.snapshot()["counters"]
+            assert counters.get("breaker_trips", 0) == 0
+        for (_, kind), many, one in zip(picks, *outcomes):
+            if kind != "valid":
+                assert isinstance(many, ValueError) and isinstance(one, ValueError)
+                continue
+            assert np.max(np.abs(many.coefficients - one.coefficients)) <= 1e-10
+            assert many.lam == one.lam
+
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(picks=_PICKS, max_queue=st.integers(1, 4))
+    def test_overflow_rejects_in_input_order(
+        self, factory, workload, hold_shard, picks, max_queue
+    ):
+        requests = _picked(workload, picks)
+        scheduler = MicroBatchScheduler(
+            SessionPool(factory), max_batch=8, max_queue=max_queue, cache=ResultCache(0)
+        )
+        overflow = None
+        release = hold_shard(scheduler)
+        try:
+            scheduler.submit(workload[0])
+            deadline = time.perf_counter() + 5.0
+            while scheduler.queue_depth() > 0 and time.perf_counter() < deadline:
+                time.sleep(0.001)
+            try:
+                futures = scheduler.submit_many(requests, timeout=0.01)
+            except IntakeOverflow as exc:
+                overflow = exc
+                futures = exc.accepted
+        finally:
+            release()
+        scheduler.shutdown(drain=True)
+        kept = list(range(len(requests)))
+        if overflow is not None:
+            position = {id(request): index for index, request in enumerate(requests)}
+            rejected = [position[id(request)] for request in overflow.rejected]
+            assert rejected == sorted(set(rejected))
+            assert all(picks[index][1] == "valid" for index in rejected)
+            kept = [index for index in kept if index not in rejected]
+        assert len(futures) == len(kept)
+        for index, future in zip(kept, futures):
+            outcome = _outcome(future)
+            if picks[index][1] == "valid":
+                assert not isinstance(outcome, BaseException)
+            else:
+                assert isinstance(outcome, ValueError)
 
 
 class TestReviewRegressions:
