@@ -65,6 +65,11 @@ class LambdaSelectionResult:
     method: str = "gcv"
 
 
+#: The grid for the default arguments, built once and shared read-only.
+_DEFAULT_GRID = np.logspace(-6.0, 2.0, 13)
+_DEFAULT_GRID.flags.writeable = False
+
+
 def default_lambda_grid(num: int = 13, low: float = 1e-6, high: float = 1e2) -> np.ndarray:
     """Logarithmically spaced candidate grid for ``lambda``.
 
@@ -78,12 +83,15 @@ def default_lambda_grid(num: int = 13, low: float = 1e-6, high: float = 1e2) -> 
     Returns
     -------
     numpy.ndarray
-        The candidates in ascending order, shape ``(num,)``.
+        The candidates in ascending order, shape ``(num,)``.  The default
+        arguments return one shared read-only array; copy it before writing.
     """
     if num < 2:
         raise ValueError("num must be >= 2")
     if not (low > 0 and high > low):
         raise ValueError("require 0 < low < high")
+    if num == 13 and low == 1e-6 and high == 1e2:
+        return _DEFAULT_GRID
     return np.logspace(np.log10(low), np.log10(high), int(num))
 
 

@@ -19,10 +19,16 @@ solver is organised around a reusable :class:`QPWorkspace`:
   coordinates, updated *incrementally* (Givens rotations) as constraints
   enter and leave the working set, instead of rebuilding and re-solving a
   dense ``(n+m) x (n+m)`` KKT system at every iteration;
-* solves accept a **warm start** (initial point plus initial working set) and
-  report the final active set, so a sequence of related solves -- a lambda
-  grid sweep, bootstrap replicates, a multi-species batch -- converges in a
-  handful of iterations each.
+* a **cold start** begins at the origin, where every homogeneous positivity
+  row is tight; when the first step is blocked there, the solve restarts
+  from one strictly feasible point of the constraint set, computed once per
+  workspace, instead of pinning rows one zero-length step at a time.  On
+  the benchmark's selection fits this cuts a cold solve from about 7 to
+  about 3 iterations; a few fits with many near-parallel positivity rows
+  still zigzag along the grid for hundreds;
+* solves also accept a **warm start** (initial point plus initial working
+  set) and report the final active set, for callers that carry a related
+  solution forward.
 
 :func:`solve_qp` is the backend dispatcher; SciPy's SLSQP remains available
 as a cross-check / fallback backend.
@@ -243,6 +249,14 @@ class QPWorkspace:
         Problem whose Hessian and constraints define the family.  The
         ``gradient`` of this problem is only a default; :meth:`solve` accepts
         a per-solve linear term.
+
+    Attributes
+    ----------
+    interior_point:
+        A read-only point with every inequality slack clearly positive that
+        satisfies the equalities, or ``None`` when the constraint set has no
+        such point this construction finds.  Cold solves blocked at the
+        origin restart here.
     """
 
     def __init__(self, problem: QuadraticProgram) -> None:
@@ -301,6 +315,11 @@ class QPWorkspace:
         # dependent equality rows were skipped this is smaller than num_eq,
         # and the multiplier bookkeeping must use this count.
         self._num_eq_factored = self._k
+        # Strictly feasible point where cold solves restart when the origin
+        # is a degenerate apex (read-only; ``None`` keeps the origin path).
+        self.interior_point = self._find_interior_point()
+        if self.interior_point is not None:
+            self.interior_point.flags.writeable = False
 
     def matches(self, problem: QuadraticProgram) -> bool:
         """Whether ``problem`` shares this workspace's Hessian and constraints.
@@ -317,6 +336,40 @@ class QPWorkspace:
             and (eq is None or eq is self.eq_matrix)
             and (ineq is None or ineq is self.ineq_matrix)
         )
+
+    def _find_interior_point(self) -> Optional[np.ndarray]:
+        """A strictly feasible point of the constraint set, or ``None``.
+
+        The sum of the inequality rows, ``u = A_in^T 1``, has
+        ``a_i^T u = sum_j a_i^T a_j > 0`` for every row when the rows have
+        non-negative pairwise products -- positivity rows of a non-negative
+        basis, say -- and one small solve on ``A_eq A_eq^T`` projects it
+        onto ``A_eq x = b_eq``.  The point is kept only if every inequality
+        slack stays clearly positive and the equality residual is rounding
+        noise; a set without a strict interior gets ``None``.
+        """
+        if not self.num_ineq:
+            return None
+        point = self.ineq_matrix.sum(axis=0)
+        if self._eq_kept:
+            rows = self.eq_matrix[self._eq_kept]
+            try:
+                shift = np.linalg.solve(
+                    rows @ rows.T, rows @ point - self.eq_vector[self._eq_kept]
+                )
+            except np.linalg.LinAlgError:
+                return None
+            point = point - rows.T @ shift
+        if self.num_eq:
+            residual = np.abs(self.eq_matrix @ point - self.eq_vector)
+            scale = np.abs(self.eq_matrix) @ np.abs(point) + np.abs(self.eq_vector)
+            if np.any(residual > 1e-12 * scale):
+                return None
+        slack = self.ineq_matrix @ point - self.ineq_vector
+        scale = np.abs(self.ineq_matrix) @ np.abs(point) + np.abs(self.ineq_vector)
+        if not np.all(slack > 1e-8 * scale):
+            return None
+        return point
 
     # ------------------------------------------------------------------
     # Incremental QR of the working-set columns in transformed coordinates.
@@ -409,6 +462,37 @@ class QPWorkspace:
             return False
         return True
 
+    def _ratio_test(
+        self,
+        x: np.ndarray,
+        step: np.ndarray,
+        in_working: np.ndarray,
+        use_bland: bool,
+        tol: float,
+    ) -> tuple[float, Optional[int]]:
+        """Largest feasible step length along ``step`` and its blocking row.
+
+        A vectorized ratio test over the inactive inequality rows; the
+        blocking row is ``None`` when the full step is feasible.
+        """
+        alpha = 1.0
+        blocking = None
+        if self.num_ineq:
+            directional = self.ineq_matrix @ step
+            candidates = np.flatnonzero((directional < -tol) & ~in_working)
+            if candidates.size:
+                slack = self.ineq_matrix @ x - self.ineq_vector
+                ratios = -slack[candidates] / directional[candidates]
+                position = int(np.argmin(ratios))
+                if ratios[position] < alpha:
+                    alpha = float(max(ratios[position], 0.0))
+                    if use_bland:
+                        tied = ratios <= ratios[position] + tol
+                        blocking = int(candidates[tied].min())
+                    else:
+                        blocking = int(candidates[position])
+        return alpha, blocking
+
     def solve(
         self,
         gradient: Optional[np.ndarray] = None,
@@ -426,10 +510,14 @@ class QPWorkspace:
             Linear term of this solve; defaults to the gradient of the
             problem the workspace was built from.
         x0:
-            Feasible starting point (defaults to zero).  A ``ValueError`` is
-            raised if it is infeasible — unless an ``active_set`` is also
-            given (warm-start context), in which case the solve degrades to
-            a cold start from zero when zero is feasible.
+            Feasible starting point.  ``None`` (the default) is a cold start
+            at zero: if the first step from there is blocked at zero length,
+            the solve heads from :attr:`interior_point` to the same target
+            instead.  An explicit ``x0``, zero included, always keeps its
+            own path.  A ``ValueError`` is raised if ``x0`` is infeasible —
+            unless an ``active_set`` is also given (warm-start context), in
+            which case the solve degrades to a cold start when zero is
+            feasible.
         active_set:
             Warm-start working set: inequality-constraint indices to activate
             initially.  Indices that are not (near-)active at ``x0`` or are
@@ -454,7 +542,8 @@ class QPWorkspace:
                 g = ensure_1d(gradient, "gradient")
         if g.size != n:
             raise ValueError("gradient has the wrong length")
-        if x0 is None:
+        cold = x0 is None
+        if cold:
             x = np.zeros(n)
         else:
             x = np.asarray(x0, dtype=float)
@@ -463,7 +552,7 @@ class QPWorkspace:
             x = x.copy()
         if x.size != n:
             raise ValueError("x0 has the wrong length")
-        feasible = self._zero_feasible if x0 is None else self._is_feasible(x, tol=1e-6)
+        feasible = self._zero_feasible if cold else self._is_feasible(x, tol=1e-6)
         if not feasible:
             # Warm starts (x0 together with an active set) are best-effort:
             # automated callers hand over previous solutions that may carry
@@ -473,13 +562,13 @@ class QPWorkspace:
             if active_set is not None and self._zero_feasible:
                 x = np.zeros(n)
                 active_set = None
+                cold = True
             else:
                 raise ValueError("the starting point x0 is not feasible")
 
         lower = self.cholesky
         trtrs = self._trtrs
         hessian = self.hessian
-        ineq_matrix = self.ineq_matrix
         num_eq_factored, num_ineq = self._num_eq_factored, self.num_ineq
 
         # (Re)build the QR factorization: equality rows always, then any
@@ -498,6 +587,11 @@ class QPWorkspace:
                 if self._append_column(self._ineq_column(index)):
                     working.append(index)
                     in_working[index] = True
+
+        # A cold start sits at the origin, where every homogeneous inequality
+        # row is tight.  If its first step is blocked at zero length, restart
+        # from the interior point instead of pinning rows at the apex.
+        restart = self.interior_point if cold and not working else None
 
         # Anti-cycling: after a run of degenerate (zero-length) steps, switch
         # to Bland's smallest-index pivoting, which cannot cycle.
@@ -551,24 +645,15 @@ class QPWorkspace:
                 in_working[working.pop(worst)] = False
                 continue
 
-            # Largest feasible step length along ``step`` (vectorized ratio
-            # test over the inactive inequality rows).
-            alpha = 1.0
-            blocking = None
-            if num_ineq:
-                directional = ineq_matrix @ step
-                candidates = np.flatnonzero((directional < -tol) & ~in_working)
-                if candidates.size:
-                    slack = ineq_matrix @ x - self.ineq_vector
-                    ratios = -slack[candidates] / directional[candidates]
-                    position = int(np.argmin(ratios))
-                    if ratios[position] < alpha:
-                        alpha = float(max(ratios[position], 0.0))
-                        if use_bland:
-                            tied = ratios <= ratios[position] + tol
-                            blocking = int(candidates[tied].min())
-                        else:
-                            blocking = int(candidates[position])
+            alpha, blocking = self._ratio_test(x, step, in_working, use_bland, tol)
+            if restart is not None:
+                if blocking is not None and alpha <= tol:
+                    # Blocked at the apex: head for the same working-set
+                    # minimizer ``x + step`` from the interior point.
+                    step = step - restart
+                    x = restart
+                    alpha, blocking = self._ratio_test(x, step, in_working, False, tol)
+                restart = None
             x = x + alpha * step
             if blocking is not None and alpha <= tol:
                 stalled += 1
@@ -626,7 +711,7 @@ class QPWorkspace:
         inequality row and non-negativity of the working-set multipliers.
         Rows that pass are exact constrained optima; only the rows where a
         *different* set of positivity constraints binds fall back to the
-        per-problem active-set loop (warm-started from the shared set).
+        per-problem active-set loop (a cold :meth:`solve`).
 
         Parameters
         ----------
@@ -645,9 +730,11 @@ class QPWorkspace:
         Notes
         -----
         The batch is **adaptive**: rows rejected by the verification are
-        solved one at a time (each warm-started from the previous fallback
-        solution), and every newly discovered active set is immediately
-        re-tried against *all* still-pending rows in another stacked pass.
+        solved one at a time, each from a cold start (which begins inside
+        the positivity cone; chaining each row from the previous fallback
+        solution measured slower), and every newly discovered active set is
+        immediately re-tried against *all* still-pending rows in another
+        stacked pass.
         A family whose members share a handful of distinct active sets
         therefore costs one exact solve plus one multi-RHS pass per distinct
         set, not one active-set loop per row.
@@ -682,14 +769,12 @@ class QPWorkspace:
 
         remaining = list(range(num_problems))
         tried: set[tuple[int, ...]] = set()
-        warm_candidates: dict[int, np.ndarray] = {}
-        last_result: Optional[QPResult] = None
         while remaining:
             key = tuple(sorted(guess))
             if key not in tried:
                 tried.add(key)
                 rows = np.asarray(remaining, dtype=int)
-                working, candidates, accepted, primal_ok = self._try_working_set(
+                working, candidates, accepted = self._try_working_set(
                     gradients[rows], guess, tol
                 )
                 working_sorted = sorted(working)
@@ -698,32 +783,15 @@ class QPWorkspace:
                 )
                 for row in accepted_rows:
                     active_sets[row] = list(working_sorted)
-                for position in np.flatnonzero(~accepted & primal_ok):
-                    warm_candidates[int(rows[position])] = candidates[position]
                 remaining = [int(row) for row in pending_rows]
                 if not remaining:
                     break
-            # Exact active-set solve of one pending row, warm-started from
-            # the previous fallback solution (feasibility is shared by the
-            # whole family) or this row's primal-feasible batch candidate.
+            # Exact active-set solve of one pending row from a cold start.
             row = remaining.pop(0)
             fallback[row] = True
-            if last_result is not None:
-                start: Optional[np.ndarray] = last_result.x
-                warm_set: Optional[Sequence[int]] = last_result.active_set
-            elif row in warm_candidates:
-                start = warm_candidates[row]
-                warm_set = guess
-            else:
-                start = None
-                warm_set = guess or None
             try:
                 row_result = self.solve(
-                    gradients[row],
-                    x0=start,
-                    active_set=warm_set,
-                    max_iterations=max_iterations,
-                    tol=tol,
+                    gradients[row], max_iterations=max_iterations, tol=tol
                 )
             except ValueError:
                 converged[row] = False
@@ -733,7 +801,6 @@ class QPWorkspace:
             converged[row] = row_result.converged
             active_sets[row] = list(row_result.active_set)
             if row_result.converged:
-                last_result = row_result
                 guess = list(row_result.active_set)
 
         objectives = kb.batch_objectives(solutions, self.hessian, gradients)
@@ -748,7 +815,7 @@ class QPWorkspace:
 
     def _try_working_set(
         self, gradients: np.ndarray, guess: Sequence[int], tol: float
-    ) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[list[int], np.ndarray, np.ndarray]:
         """One stacked working-set pass of :meth:`solve_batch`.
 
         Factors the equality rows plus the ``guess`` inequality rows once
@@ -759,10 +826,9 @@ class QPWorkspace:
         Returns
         -------
         tuple
-            ``(working, candidates, accepted, primal_ok)``: the inequality
-            rows actually factored, the per-row candidate solutions, the
-            rows passing the full primal/dual verification, and the rows
-            that are at least primal feasible (usable as warm starts).
+            ``(working, candidates, accepted)``: the inequality rows
+            actually factored, the per-row candidate solutions, and the rows
+            passing the full primal/dual verification.
         """
         num_rows = gradients.shape[0]
         self._reset_factorization()
@@ -817,13 +883,12 @@ class QPWorkspace:
         if self.num_ineq:
             slack = self.ineq_matrix @ x_columns - self.ineq_vector[:, None]
             margin = (tol * (1.0 + np.abs(self.ineq_vector)))[:, None]
-            primal_ok = np.all(slack >= -margin, axis=0)
+            accepted = np.all(slack >= -margin, axis=0)
         else:
-            primal_ok = np.ones(num_rows, dtype=bool)
-        accepted = primal_ok.copy()
+            accepted = np.ones(num_rows, dtype=bool)
         if lagrange.size:
             accepted &= lagrange.min(axis=0) >= -tol
-        return working, candidates, accepted, primal_ok
+        return working, candidates, accepted
 
 
 def kkt_solve_diagonal_batch(
@@ -1105,9 +1170,10 @@ def solve_qp_active_set(
         Problem data; ``hessian`` should be positive definite (add a small
         ridge when building the problem if necessary).
     x0:
-        Feasible starting point.  Defaults to the zero vector, which is
-        feasible for the homogeneous constraints arising in deconvolution;
-        a ``ValueError`` is raised if the starting point is infeasible.
+        Feasible starting point.  Defaults to a cold start at the zero
+        vector, which is feasible for the homogeneous constraints arising in
+        deconvolution (see :meth:`QPWorkspace.solve`); a ``ValueError`` is
+        raised if the starting point is infeasible.
     active_set:
         Warm-start working set (inequality-row indices), typically the
         ``active_set`` of a previous, related solve.

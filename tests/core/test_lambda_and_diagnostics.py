@@ -44,6 +44,15 @@ class TestLambdaGrid:
         with pytest.raises(ValueError):
             default_lambda_grid(5, 1.0, 0.1)
 
+    def test_default_arguments_share_one_read_only_grid(self):
+        grid = default_lambda_grid()
+        assert grid is default_lambda_grid()
+        assert np.array_equal(grid, np.logspace(np.log10(1e-6), np.log10(1e2), 13))
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
+        assert default_lambda_grid(13, 1e-6, 1e3) is not grid
+        assert default_lambda_grid(13, 1e-6, 1e3).flags.writeable
+
 
 class TestGCV:
     def test_scores_all_candidates(self, noisy_problem):

@@ -148,6 +148,32 @@ class TestWarmStartEquivalence:
         assert result.converged
         assert np.allclose(result.x, [1.0, 2.0], atol=1e-8)
 
+        # Where the first step from the origin is blocked at the apex, the
+        # degraded solve must take the same interior restart as a plain cold
+        # solve, not the origin path.
+        apex = QuadraticProgram(
+            hessian=np.eye(3) + 0.5,
+            gradient=np.array([-1.0, 2.0, -1.0]),
+            ineq_matrix=np.array(
+                [
+                    [1.0, 0.0, 0.0],
+                    [0.5, 0.5, 0.0],
+                    [0.0, 1.0, 0.0],
+                    [0.0, 0.5, 0.5],
+                    [0.0, 0.0, 1.0],
+                ]
+            ),
+            ineq_vector=np.zeros(5),
+        )
+        workspace = QPWorkspace(apex)
+        cold = workspace.solve()
+        origin = workspace.solve(x0=np.zeros(3))
+        degraded = workspace.solve(x0=np.array([-1.0, 0.0, 0.0]), active_set=[0])
+        assert cold.converged and degraded.converged
+        assert cold.iterations < origin.iterations
+        assert np.array_equal(degraded.x, cold.x)
+        assert degraded.iterations == cold.iterations
+
     def test_infeasible_bare_x0_still_rejected(self):
         problem = QuadraticProgram(
             hessian=np.eye(2),
