@@ -36,7 +36,7 @@ from repro.core.problem import DeconvolutionProblem
 from repro.core.result import DeconvolutionResult
 from repro.core.session import FitSession, FitWorkspace
 from repro.utils.rng import SeedLike
-from repro.utils.validation import ensure_1d
+from repro.utils.validation import check_lambda_grid, ensure_1d
 
 __all__ = ["Deconvolver", "FitSession", "FitWorkspace"]
 
@@ -172,7 +172,8 @@ class Deconvolver:
         lambda_method:
             ``"gcv"`` or ``"kfold"``; used only when ``lam`` is ``None``.
         lambda_grid:
-            Candidate grid for the automatic selection.
+            Candidate grid for the automatic selection: 1-D, non-empty,
+            finite and ``>= 0`` (checked only when ``lam`` is ``None``).
         rng:
             Seed for kernel construction (when needed) and CV fold assignment.
         warm_start:
@@ -369,11 +370,7 @@ class Deconvolver:
         if len(unselected) > 1 and lambda_method == "gcv":
             # The whole batch is GCV-scored in one matrix pass off the shared
             # eigendecomposition; see generalized_cross_validation_batch.
-            grid = (
-                default_lambda_grid()
-                if lambda_grid is None
-                else ensure_1d(lambda_grid, "lambda_grid")
-            )
+            grid = default_lambda_grid() if lambda_grid is None else check_lambda_grid(lambda_grid)
             selections = iter(
                 generalized_cross_validation_batch(
                     workspace.template, matrix[:, unselected], grid

@@ -43,7 +43,7 @@ from repro.numerics.qp import (
     solve_qp,
 )
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import ensure_1d
+from repro.utils.validation import check_lambda_grid, ensure_1d
 
 
 @dataclass
@@ -868,7 +868,8 @@ def select_lambda(
     problem:
         The full deconvolution problem.
     lambdas:
-        Candidate grid; defaults to :func:`default_lambda_grid`.
+        Candidate grid (1-D, non-empty, finite and ``>= 0``); defaults to
+        :func:`default_lambda_grid`.
     method:
         ``"gcv"`` (:func:`generalized_cross_validation`) or ``"kfold"``
         (:func:`k_fold_cross_validation`).
@@ -880,8 +881,7 @@ def select_lambda(
     LambdaSelectionResult
         The best candidate plus the per-candidate scores.
     """
-    if lambdas is None:
-        lambdas = default_lambda_grid()
+    lambdas = default_lambda_grid() if lambdas is None else check_lambda_grid(lambdas)
     if method == "gcv":
         return generalized_cross_validation(problem, lambdas)
     if method == "kfold":

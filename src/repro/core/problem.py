@@ -38,6 +38,7 @@ from repro.numerics.qp import (
     QPResult,
     QPWorkspace,
     QuadraticProgram,
+    prefer_converged,
     solve_qp,
 )
 from repro.utils.validation import check_positive, ensure_1d
@@ -320,10 +321,10 @@ class DeconvolutionProblem:
             — one column per problem (matching ``fit_many``'s layout).
         backend:
             ``"active_set"`` keeps every column on the in-repo solver;
-            ``"auto"`` (default) re-dispatches columns that fail to converge
-            (or land infeasible) through :func:`~repro.numerics.qp.solve_qp`
-            with its SciPy fallback; ``"scipy"`` solves every column through
-            the fallback backend.
+            ``"auto"`` (default) re-solves columns that fail to converge
+            (or land infeasible) with SLSQP, picking as
+            :func:`~repro.numerics.qp.solve_qp` does; ``"scipy"`` solves
+            every column through the fallback backend.
         shared_active_set:
             Inequality rows expected active for most columns (e.g. a base
             fit's active set when solving its bootstrap replicates).
@@ -351,16 +352,20 @@ class DeconvolutionProblem:
             program = self.quadratic_program(lam)
             for index in range(batch.num_problems):
                 # Rows accepted by the batched KKT verification already
-                # passed a stricter slack check; only fallback and failed
-                # rows need the solve_qp-style auto repair.
-                if batch.converged[index] and not batch.fallback[index]:
-                    continue
-                if batch.converged[index] and program.is_feasible(
-                    batch.x[index], tol=1e-6
+                # passed a stricter slack check.  A fallback row is the cold
+                # active-set solve, so only the SLSQP re-solve is left to run.
+                converged = bool(batch.converged[index])
+                if converged and (
+                    not batch.fallback[index] or program.is_feasible(batch.x[index], tol=1e-6)
                 ):
                     continue
-                sibling = self.with_measurements(matrix[:, index])
-                repaired = sibling.solve(lam, backend="auto")
+                row = QPResult(
+                    batch.x[index], batch.objectives[index], batch.iterations[index], converged
+                )
+                sibling = self.with_measurements(matrix[:, index]).quadratic_program(lam)
+                repaired = prefer_converged(row, solve_qp(sibling, backend="scipy"))
+                if repaired is row:
+                    continue
                 batch.x[index] = repaired.x
                 batch.objectives[index] = repaired.objective
                 batch.iterations[index] = repaired.iterations

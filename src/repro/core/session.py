@@ -77,15 +77,11 @@ def fit_options_bucket(
     sigma_key = sigma_fingerprint(times, sigma)
     if lam is not None:
         return (times_key, sigma_key, "fixed")
-    return (
-        times_key,
-        sigma_key,
-        "select",
-        lambda_method,
-        b"default"
-        if lambda_grid is None
-        else np.ascontiguousarray(np.asarray(lambda_grid, dtype=float)).tobytes(),
-    )
+    if lambda_grid is None:
+        return (times_key, sigma_key, "select", lambda_method, b"default")
+    # The shape too: ``[[1, 2]]`` and ``[1, 2]`` have the same bytes.
+    grid = np.ascontiguousarray(lambda_grid, dtype=float)
+    return (times_key, sigma_key, "select", lambda_method, grid.tobytes(), grid.shape)
 
 
 class FitWorkspace:

@@ -1286,33 +1286,29 @@ def solve_qp(
     QPResult
         The best result of the attempted backend(s).
     """
-    if backend == "active_set":
-        return solve_qp_active_set(
-            problem,
-            x0,
-            active_set=active_set,
-            workspace=workspace,
-            max_iterations=max_iterations,
-            tol=tol,
-        )
     if backend == "scipy":
         return _solve_qp_scipy(problem, x0)
-    if backend == "auto":
-        result = solve_qp_active_set(
-            problem,
-            x0,
-            active_set=active_set,
-            workspace=workspace,
-            max_iterations=max_iterations,
-            tol=tol,
-        )
-        if result.converged and problem.is_feasible(result.x, tol=1e-6):
-            return result
-        fallback = _solve_qp_scipy(problem, x0)
-        # Keep whichever feasible solution has the lower objective.
-        if not fallback.converged:
-            return result if result.converged else fallback
-        if result.converged and result.objective < fallback.objective:
-            return result
-        return fallback
-    raise ValueError(f"unknown QP backend {backend!r}")
+    if backend not in ("auto", "active_set"):
+        raise ValueError(f"unknown QP backend {backend!r}")
+    result = solve_qp_active_set(
+        problem,
+        x0,
+        active_set=active_set,
+        workspace=workspace,
+        max_iterations=max_iterations,
+        tol=tol,
+    )
+    if backend == "active_set" or (result.converged and problem.is_feasible(result.x, tol=1e-6)):
+        return result
+    return prefer_converged(result, _solve_qp_scipy(problem, x0))
+
+
+def prefer_converged(result: QPResult, fallback: QPResult) -> QPResult:
+    """The ``auto`` pick between an active-set ``result`` and its SLSQP ``fallback``.
+
+    The converged one with the lower objective wins; when neither converged,
+    the SLSQP result.
+    """
+    if result.converged and (not fallback.converged or result.objective < fallback.objective):
+        return result
+    return fallback

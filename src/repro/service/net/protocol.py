@@ -49,6 +49,7 @@ from repro.service.errors import (
     ServiceError,
 )
 from repro.service.scheduler import DEFAULT_CONFIG_KEY, FitRequest
+from repro.utils.validation import check_lambda_grid
 
 __all__ = [
     "FRAME_KINDS",
@@ -235,9 +236,15 @@ class WireFit:
                 raise ProtocolError("sigma must be a number, an array or null")
             else:
                 sigma = float(sigma)
+        lam = _optional_number(payload.get("lam"), "lam")
         lambda_grid = payload.get("lambda_grid")
         if lambda_grid is not None:
             lambda_grid = _float_list(lambda_grid, "lambda_grid")
+            if lam is None:  # the grid steers selection only
+                try:
+                    check_lambda_grid(lambda_grid)
+                except ValueError as exc:
+                    raise ProtocolError(str(exc)) from None
         seed = payload.get("seed", 0)
         if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
             raise ProtocolError("seed must be an integer or null")
@@ -264,7 +271,7 @@ class WireFit:
             times=times,
             measurements=measurements,
             sigma=sigma,
-            lam=_optional_number(payload.get("lam"), "lam"),
+            lam=lam,
             lambda_method=lambda_method,
             lambda_grid=lambda_grid,
             seed=seed,

@@ -86,6 +86,7 @@ from repro.service.pool import SessionPool
 from repro.service.robustness import CircuitBreaker, RetryPolicy
 from repro.service.telemetry import Telemetry
 from repro.utils.rng import SeedLike
+from repro.utils.validation import check_lambda_grid
 
 __all__ = ["DEFAULT_CONFIG_KEY", "FitRequest", "MicroBatchScheduler"]
 
@@ -439,9 +440,10 @@ class MicroBatchScheduler:
     ) -> None:
         """Admit the requests of one batch key at ``positions``.
 
-        The grid (``times`` 1-D, ``sigma`` finite and positive) is checked
-        once and the rows are stacked and checked for length and finiteness
-        together.  Each admitted row is fingerprinted from one shared hash
+        The grid (``times`` 1-D, ``sigma`` finite and positive, and a
+        selection block's ``lambda_grid``, which is part of its batch key)
+        is checked once and the rows are stacked and checked for length and
+        finiteness together.  Each admitted row is fingerprinted from one shared hash
         prefix (:class:`~repro.service.cache.GridFingerprints`, identical to
         :func:`request_fingerprint`) and the whole block is looked up in the
         result cache at once.  ``lam``, ``deadline_ms`` and the deadline
@@ -451,6 +453,11 @@ class MicroBatchScheduler:
         first = requests[positions[0]]
         times = np.asarray(first.times, dtype=float)
         error = _grid_error(times, first.sigma)
+        if error is None and first.lam is None and first.lambda_grid is not None:
+            try:
+                check_lambda_grid(first.lambda_grid)
+            except ValueError as exc:
+                error = str(exc)
         if error is not None:
             for position in positions:
                 admission.reject(position, error)

@@ -81,6 +81,14 @@ def ensure_1d(values: Sequence[float] | np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
+def check_lambda_grid(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Validate a lambda-selection grid: 1-D, non-empty, finite and ``>= 0``, like ``lam``."""
+    arr = ensure_1d(values, "lambda_grid")
+    if (arr < 0.0).any():
+        raise ValueError(f"lambda_grid must be >= 0, got {float(arr.min())!r}")
+    return arr
+
+
 def ensure_2d(values: Sequence[Sequence[float]] | np.ndarray, name: str) -> np.ndarray:
     """Convert ``values`` to a 2-D float array, rejecting other shapes."""
     arr = np.asarray(values, dtype=float)

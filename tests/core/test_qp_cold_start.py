@@ -22,6 +22,7 @@ import pytest
 from repro.cellcycle.kernel import KernelBuilder
 from repro.cellcycle.parameters import CellCycleParameters
 from repro.core.deconvolver import Deconvolver
+from repro.core.problem import DeconvolutionProblem
 from repro.core.uncertainty import bootstrap_deconvolution
 from repro.data.synthetic import single_pulse_profile
 from repro.numerics import qp
@@ -53,8 +54,8 @@ def setting():
 
 @pytest.fixture()
 def counters(monkeypatch):
-    """Count workspace solves, their iterations and SLSQP re-solves."""
-    counts = {"solves": 0, "iterations": 0, "slsqp": 0}
+    """Count workspace solves, their iterations, the capped ones and SLSQP re-solves."""
+    counts = {"solves": 0, "iterations": 0, "capped": 0, "slsqp": 0}
     solve = qp.QPWorkspace.solve
     scipy_solve = qp._solve_qp_scipy
 
@@ -62,6 +63,7 @@ def counters(monkeypatch):
         result = solve(self, *args, **kwargs)
         counts["solves"] += 1
         counts["iterations"] += result.iterations
+        counts["capped"] += not result.converged
         return result
 
     def counted_scipy(*args, **kwargs):
@@ -97,3 +99,43 @@ def test_bootstrap_needs_fewer_slsqp_resolves(setting, counters):
         )
     assert counters["iterations"] <= 25_000
     assert counters["slsqp"] <= 4
+
+
+def test_bootstrap_resolves_a_capped_row_once(setting, counters, monkeypatch):
+    """A batch row that hit the iteration cap goes straight to SLSQP.
+
+    Its cold active-set solve is not repeated before the re-solve: one capped
+    workspace solve per SLSQP call.  Each fallback row of the band is either
+    the batch's own converged row or the SLSQP optimum of its program.
+    """
+    kernel, deconvolver, data = setting
+    batches = []
+    solve_batch = DeconvolutionProblem.solve_batch
+
+    def recorded(self, lam, matrix, **kwargs):
+        batch = solve_batch(self, lam, matrix, **kwargs)
+        batches.append((self, lam, np.array(matrix), kwargs, batch.x.copy()))
+        return batch
+
+    monkeypatch.setattr(DeconvolutionProblem, "solve_batch", recorded)
+    for seed, values in enumerate(data):
+        bootstrap_deconvolution(
+            deconvolver, kernel.times, values, lam=LAM, num_replicates=20, rng=seed
+        )
+    assert counters["slsqp"] >= 1
+    assert counters["capped"] == counters["slsqp"]
+
+    repaired = 0
+    for problem, lam, matrix, kwargs, x in batches:
+        kwargs = dict(kwargs, backend="active_set")
+        rows = solve_batch(problem, lam, matrix, **kwargs)  # the rows before any repair
+        program = problem.quadratic_program(lam)
+        for index in np.flatnonzero(rows.fallback):
+            if rows.converged[index] and program.is_feasible(rows.x[index], tol=1e-6):
+                expected = rows.x[index]
+            else:
+                repaired += 1
+                sibling = problem.with_measurements(matrix[:, index]).quadratic_program(lam)
+                expected = qp.solve_qp(sibling, backend="scipy").x
+            np.testing.assert_allclose(x[index], expected, rtol=0.0, atol=1e-10)
+    assert repaired >= 1

@@ -114,6 +114,18 @@ class TestServeBenchCLI:
         assert "session 'default'" in captured.out
         assert "ok: every scheduler response matches its one-shot fit to 1e-10" in captured.out
 
+    def test_serve_bench_hotkey_scenario_without_faults_passes_its_slo(self, capsys):
+        exit_code = main([
+            "serve-bench", "--requests", "10", "--cells", "600", "--grids", "1",
+            "--scenario", "hotkey",
+        ])
+        captured = capsys.readouterr()
+        assert exit_code == 0
+        assert "scenario hotkey" in captured.out
+        assert "injected faults" not in captured.out
+        assert "SLO pass" in captured.out
+        assert "ok: every request terminated" in captured.out
+
     def test_serve_bench_scenario_with_faults_terminates_and_verifies(self, capsys):
         exit_code = main([
             "serve-bench", "--requests", "10", "--cells", "600", "--grids", "1",
