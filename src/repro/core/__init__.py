@@ -26,6 +26,7 @@ from repro.core.result import DeconvolutionResult
 from repro.core.deconvolver import Deconvolver
 from repro.core.session import FitSession, FitWorkspace
 from repro.core.lambda_selection import (
+    LAMBDA_METHODS,
     LambdaSelectionResult,
     generalized_cross_validation,
     k_fold_cross_validation,
@@ -51,6 +52,7 @@ __all__ = [
     "DeconvolutionProblem",
     "DeconvolutionResult",
     "Deconvolver",
+    "LAMBDA_METHODS",
     "LambdaSelectionResult",
     "generalized_cross_validation",
     "k_fold_cross_validation",

@@ -245,12 +245,18 @@ class Deconvolver:
         times: np.ndarray,
         measurements: np.ndarray,
         lambda_path: dict[float, float],
+        template: DeconvolutionProblem | None = None,
+        row: np.ndarray | None = None,
     ) -> DeconvolutionResult:
         """The one :class:`DeconvolutionResult` constructor call of every path.
 
-        ``times`` and ``measurements`` must be arrays the result may own.
+        ``times`` and ``measurements`` must be arrays the result may own.  A
+        batched column without its own sibling passes ``problem=None``, the
+        batch ``template`` and its measurement ``row`` (an array no caller
+        can reach): the result builds the sibling from the two when a
+        diagnostic is first read.
         """
-        return DeconvolutionResult(
+        result = DeconvolutionResult(
             coefficients=coefficients,
             basis=self.basis,
             lam=float(lam),
@@ -263,6 +269,10 @@ class Deconvolver:
             solver_active_set=list(active_set),
             problem=problem,
         )
+        if problem is None:
+            result._template = template
+            result._row = row
+        return result
 
     def fit_many(
         self,
@@ -361,9 +371,19 @@ class Deconvolver:
 
         times = ensure_1d(times, "times")
         workspace = self.fit_workspace(times, sigma=sigma, rng=rng)
+        template = workspace.template
         # One up-front check of the whole matrix (before any solve); the
-        # per-column siblings and results below skip per-vector validation.
-        problems = workspace.template.siblings(matrix)
+        # siblings and results below skip per-vector validation.  A column
+        # gets its own sibling problem only where a solve or a selection
+        # needs one; the other results build theirs on first use.
+        template.check_columns(matrix)
+        problems: list[DeconvolutionProblem | None] = [None] * num_species
+
+        def problem_for(column: int) -> DeconvolutionProblem:
+            if problems[column] is None:
+                problems[column] = template._sibling(matrix[:, column])
+            return problems[column]
+
         lams: list[float] = []
         paths: list[dict[float, float]] = []
         unselected = [column for column, value in enumerate(requested) if value is None]
@@ -372,13 +392,11 @@ class Deconvolver:
             # eigendecomposition; see generalized_cross_validation_batch.
             grid = default_lambda_grid() if lambda_grid is None else check_lambda_grid(lambda_grid)
             selections = iter(
-                generalized_cross_validation_batch(
-                    workspace.template, matrix[:, unselected], grid
-                )
+                generalized_cross_validation_batch(template, matrix[:, unselected], grid)
             )
         else:
             selections = None
-        for column, problem in enumerate(problems):
+        for column in range(num_species):
             if requested[column] is not None:
                 lams.append(float(requested[column]))
                 paths.append({})
@@ -391,7 +409,7 @@ class Deconvolver:
                 # live in shared caches that the first species fills and the
                 # rest reuse.
                 selection = select_lambda(
-                    problem,
+                    problem_for(column),
                     lambda_grid,
                     method=lambda_method,
                     backend=self.solver_backend,
@@ -401,12 +419,14 @@ class Deconvolver:
                 paths.append(selection.scores)
 
         if engine == "batch":
-            # Results are built straight from the stacked solve arrays, each
-            # owning one row of a stacked copy of the (validated) times and
+            # Results are views of the stacked solve arrays, each owning one
+            # row of a stacked copy of the (validated) times and
             # measurements: writing to one result's arrays never touches its
-            # batch neighbours or the caller's matrix.
+            # batch neighbours, the caller's matrix or the rows a result
+            # without a sibling builds it from.
             stacked_times = np.repeat(times[None, :], num_species, axis=0)
-            stacked_measurements = matrix.T.copy()
+            rows = matrix.T.copy()
+            stacked_measurements = rows.copy()
             results = [None] * num_species  # type: ignore[list-item]
 
             def package(column, x, converged, iterations, active_set) -> None:
@@ -420,6 +440,8 @@ class Deconvolver:
                     stacked_times[column],
                     stacked_measurements[column],
                     paths[column],
+                    template,
+                    rows[column],
                 )
 
             def package_rows(batch, columns) -> None:
@@ -440,16 +462,14 @@ class Deconvolver:
                 # fallback runs inside solve_mixed only where positivity
                 # binds), cutting the per-group fixed cost out of the
                 # micro-batch floor.
-                mixed = workspace.template.solve_mixed(
-                    lams, matrix, backend=self.solver_backend
-                )
+                mixed = template.solve_mixed(lams, matrix, backend=self.solver_backend)
                 package_rows(mixed, range(num_species))
             elif num_species == 1:
                 # One column: the stacked multi-RHS machinery (RHS stacking,
                 # vectorized KKT verification) costs more than it saves for
                 # one row; the plain warm workspace solve reaches the same
                 # exact optimum.
-                qp_result = problems[0].solve(lams[0], backend=self.solver_backend)
+                qp_result = problem_for(0).solve(lams[0], backend=self.solver_backend)
                 package(
                     0,
                     qp_result.x,
@@ -460,9 +480,7 @@ class Deconvolver:
             elif num_species:
                 # One lambda shared by every species: one shared Hessian
                 # factorization, one stacked multi-RHS solve.
-                batch = workspace.template.solve_batch(
-                    lams[0], matrix, backend=self.solver_backend
-                )
+                batch = template.solve_batch(lams[0], matrix, backend=self.solver_backend)
                 package_rows(batch, range(num_species))
             return results
 
@@ -475,5 +493,5 @@ class Deconvolver:
                 times,
                 path,
             )
-            for problem, chosen, path in zip(problems, lams, paths)
+            for problem, chosen, path in zip(map(problem_for, range(num_species)), lams, paths)
         ]

@@ -65,6 +65,11 @@ class LambdaSelectionResult:
     method: str = "gcv"
 
 
+#: The selection methods :func:`select_lambda` knows.  The service checks a
+#: request's method against it at admission, so a typo fails alone instead
+#: of failing its batch at solve time.
+LAMBDA_METHODS = ("gcv", "kfold")
+
 #: The grid for the default arguments, built once and shared read-only.
 _DEFAULT_GRID = np.logspace(-6.0, 2.0, 13)
 _DEFAULT_GRID.flags.writeable = False
@@ -881,11 +886,11 @@ def select_lambda(
     LambdaSelectionResult
         The best candidate plus the per-candidate scores.
     """
+    if method not in LAMBDA_METHODS:
+        raise ValueError(f"unknown lambda selection method {method!r}")
     lambdas = default_lambda_grid() if lambdas is None else check_lambda_grid(lambdas)
     if method == "gcv":
         return generalized_cross_validation(problem, lambdas)
-    if method == "kfold":
-        return k_fold_cross_validation(
-            problem, lambdas, num_folds=num_folds, backend=backend, rng=rng, engine=engine
-        )
-    raise ValueError(f"unknown lambda selection method {method!r}")
+    return k_fold_cross_validation(
+        problem, lambdas, num_folds=num_folds, backend=backend, rng=rng, engine=engine
+    )

@@ -75,6 +75,9 @@ class DeconvolutionProblem:
         :func:`~repro.core.constraints.assembly_context`).
     """
 
+    #: The cache-free sibling :meth:`released_twin` builds on first use.
+    _twin: Optional["DeconvolutionProblem"] = None
+
     def __init__(
         self,
         forward: ForwardModel,
@@ -563,14 +566,13 @@ class DeconvolutionProblem:
             raise ValueError("measurements length does not match the problem")
         return self._sibling(measurements)
 
-    def siblings(self, measurement_matrix: np.ndarray) -> list["DeconvolutionProblem"]:
-        """One :meth:`with_measurements` sibling per column, validated once.
+    def check_columns(self, measurement_matrix: np.ndarray) -> None:
+        """Validate a matrix of measurement columns once.
 
-        The whole matrix is checked up front — row count and finiteness,
-        with :meth:`with_measurements`' error messages — so a bad column
-        fails the batch before any solve, and the per-column siblings skip
-        the per-vector validation.  Each sibling's measurements are a view
-        of its column.
+        Row count and finiteness are checked for the whole matrix, with
+        :meth:`with_measurements`' error messages, so a bad column fails
+        the batch before any solve and a column's sibling (:meth:`_sibling`,
+        built only when needed) skips the per-vector validation.
         """
         matrix = np.asarray(measurement_matrix, dtype=float)
         if matrix.ndim != 2:
@@ -579,7 +581,6 @@ class DeconvolutionProblem:
             raise ValueError("measurements length does not match the problem")
         if not np.isfinite(matrix).all():
             raise ValueError("measurements contains non-finite entries")
-        return [self._sibling(column) for column in matrix.T]
 
     def _sibling(self, measurements: np.ndarray) -> "DeconvolutionProblem":
         """Non-validating constructor behind :meth:`with_measurements`.
@@ -608,6 +609,24 @@ class DeconvolutionProblem:
         sibling._workspaces = self._workspaces
         sibling._selection_caches = self._selection_caches
         return sibling
+
+    def released_twin(self) -> "DeconvolutionProblem":
+        """A sibling of this problem that holds none of its solver caches.
+
+        Built once per problem and then shared.  It keeps the forward model,
+        basis, weights and constraint rows, so a long-lived batched result
+        that has not built its own sibling
+        (:meth:`~repro.core.result.DeconvolutionResult.release_backing_caches`)
+        rebinds its template to the twin: its lazy diagnostics still work,
+        and the per-lambda factorizations and selection plans of this
+        problem are not pinned by it.
+        """
+        twin = self._twin
+        if twin is None:
+            twin = self._sibling(self.measurements)
+            twin.release_solver_caches()
+            self._twin = twin
+        return twin
 
     def restrict(self, indices: np.ndarray) -> "DeconvolutionProblem":
         """Problem restricted to a subset of measurements (for cross-validation)."""

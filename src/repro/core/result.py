@@ -66,7 +66,17 @@ class DeconvolutionResult:
         The :class:`~repro.core.problem.DeconvolutionProblem` the result was
         solved on; required only when one of the lazy attributes above is
         omitted.
+
+    Batched fits leave ``problem`` out and set ``_template`` (the batch's
+    shared template problem) and ``_row`` (a private copy of this column's
+    measurements) instead: such a result builds its own sibling problem
+    from the two only when a lazy diagnostic is first read.
     """
+
+    #: Template problem and measurement row of a batched fit whose sibling
+    #: is not built yet.
+    _template: Optional["DeconvolutionProblem"] = None
+    _row: Optional[np.ndarray] = None
 
     def __init__(
         self,
@@ -112,11 +122,17 @@ class DeconvolutionResult:
         (:meth:`~repro.core.problem.DeconvolutionProblem.release_solver_caches`
         — the owning session keeps its own), so holding this result
         long-term, e.g. in the service result cache, does not keep solver
-        state alive past session/pool eviction.  Costs a few attribute
-        rebinds, no materialization.  Returns ``self`` for chaining.
+        state alive past session/pool eviction.  A batched result that has
+        not built its sibling yet swaps its template for the template's one
+        released twin
+        (:meth:`~repro.core.problem.DeconvolutionProblem.released_twin`).
+        Costs a few attribute rebinds, no materialization.  Returns ``self``
+        for chaining.
         """
         if self._problem is not None:
             self._problem.release_solver_caches()
+        elif self._template is not None:
+            self._template = self._template.released_twin()
         return self
 
     def _materialize(self) -> None:
@@ -143,9 +159,9 @@ class DeconvolutionResult:
         archives) detach so that session/pool eviction can actually reclaim
         memory.  Returns ``self`` for chaining.
         """
-        if self._problem is not None:
+        if self._problem is not None or self._template is not None:
             self._materialize()
-            self._problem = None
+            self._problem = self._template = self._row = None
         return self
 
     def __getstate__(self) -> dict:
@@ -155,19 +171,37 @@ class DeconvolutionResult:
         should not) cross pickle boundaries; a pickled result is therefore
         fully materialized and self-contained.
         """
-        if self._problem is not None:
+        if self._problem is not None or self._template is not None:
             self._materialize()
         state = self.__dict__.copy()
         state["_problem"] = None
+        state.pop("_template", None)
+        state.pop("_row", None)
         return state
+
+    def _backing(self) -> Optional["DeconvolutionProblem"]:
+        """The backing problem, built from the batch template on first use.
+
+        ``_problem`` is bound before ``_template`` is cleared, so a reader on
+        another thread that finds neither template nor problem on its first
+        look finds the problem on the second.
+        """
+        if self._problem is None:
+            template = self._template
+            if template is not None:
+                # ``_row`` stays: it is the sibling's measurement vector now.
+                self._problem = template._sibling(self._row)
+                self._template = None
+        return self._problem
 
     def _require_problem(self, attribute: str) -> "DeconvolutionProblem":
         """The backing problem, or a clear error when it was never attached."""
-        if self._problem is None:
+        problem = self._backing()
+        if problem is None:
             raise AttributeError(
                 f"{attribute} was not provided and no problem is attached to compute it from"
             )
-        return self._problem
+        return problem
 
     @property
     def fitted(self) -> np.ndarray:
@@ -208,10 +242,11 @@ class DeconvolutionResult:
         the pre-lazy default).
         """
         if self._constraint_violations is None:
-            if self._problem is None:
+            problem = self._backing()
+            if problem is None:
                 self._constraint_violations = {}
             else:
-                self._constraint_violations = self._problem.constraint_set.violations(
+                self._constraint_violations = problem.constraint_set.violations(
                     self.coefficients
                 )
         return self._constraint_violations

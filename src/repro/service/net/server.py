@@ -10,8 +10,9 @@ Routes (schema v1):
 * ``POST /v1/fit`` — one fit frame in, one result (or typed error) frame
   out; the HTTP status mirrors the error taxonomy mapping.
 * ``POST /v1/fit/batch`` — a batch_fit frame in, a batch_result frame out
-  with one result-or-error item per request (intake overflow splits the
-  batch per the PR 6 accepted/rejected contract instead of failing it).
+  with one result-or-error item per request (a malformed entry gets its own
+  400 item, and intake overflow splits the batch per the accepted/rejected
+  contract instead of failing it).
 * ``GET /v1/stream`` — WebSocket upgrade; fit frames with correlation ids
   stream in, result/error frames stream out as solves finish.
 * ``GET /healthz``, ``GET /metrics``, ``GET /pool``, ``GET /backends`` —
@@ -461,8 +462,15 @@ class FitServer:
         entries = frame.payload.get("requests")
         if not isinstance(entries, list):
             raise ProtocolError("batch_fit payload must carry a 'requests' array")
-        wires = [WireFit.from_payload(entry) for entry in entries]
-        requests = [wire.to_request() for wire in wires]
+        # Each entry decodes alone: a malformed one is answered with its own
+        # 400 item and its valid neighbours are still solved.
+        wires: list[WireFit | ProtocolError] = []
+        for entry in entries:
+            try:
+                wires.append(WireFit.from_payload(entry))
+            except ProtocolError as exc:
+                wires.append(exc)
+        requests = [wire.to_request() for wire in wires if isinstance(wire, WireFit)]
 
         def submit_many():
             return self.scheduler.submit_many(requests, timeout=self.submit_timeout_s)
@@ -478,8 +486,16 @@ class FitServer:
                 None if id(request) in rejected else next(accepted)
                 for request in requests
             ]
+        submitted = iter(futures)
         items = []
-        for wire, future in zip(wires, futures):
+        for entry, wire in zip(entries, wires):
+            if isinstance(wire, ProtocolError):
+                self.telemetry.increment("net_errors")
+                tag = entry.get("tag", "") if isinstance(entry, dict) else ""
+                error = error_to_frame(wire, tag=tag if isinstance(tag, str) else "")
+                items.append({"kind": "error", "payload": error.to_payload()})
+                continue
+            future = next(submitted)
             if future is None:
                 error = error_to_frame(overflow, tag=wire.tag)
                 items.append({"kind": "error", "payload": error.to_payload()})

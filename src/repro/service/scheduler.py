@@ -62,12 +62,14 @@ import queue
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
+from concurrent.futures._base import CANCELLED, CANCELLED_AND_NOTIFIED, FINISHED, PENDING
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
 from repro import config
+from repro.core.lambda_selection import LAMBDA_METHODS
 from repro.core.session import fit_options_bucket
 from repro.service.cache import (
     GridFingerprints,
@@ -163,6 +165,51 @@ class FitRequest:
         )
 
 
+_DONE = frozenset((CANCELLED, CANCELLED_AND_NOTIFIED, FINISHED))
+
+
+class _BlockFuture(Future):
+    """A :class:`~concurrent.futures.Future` sharing its admission's condition.
+
+    A stock future builds its own ``threading.Condition`` (an ``RLock``, the
+    bound lock methods and a waiter deque): eleven objects for the cyclic
+    garbage collector per request.  The futures of one
+    :meth:`MicroBatchScheduler.submit_many` call share one condition instead.  The condition is re-entrant, so
+    :func:`concurrent.futures.wait` and ``as_completed``, which acquire the
+    condition of every future they watch, work on siblings too.  Settling
+    any sibling notifies every waiter of the block, so :meth:`result` and
+    :meth:`exception` wait for this future's own state, not for the first
+    wake-up.  The class sets ``Future``'s private attributes itself; the
+    test matrix over the supported Python versions guards that.
+    """
+
+    def __init__(self, condition: threading.Condition) -> None:
+        # Not Future.__init__: it would build the condition this shares.
+        self._condition = condition
+        self._state = PENDING
+        self._result = None
+        self._exception = None
+        self._waiters = []
+        self._done_callbacks = []
+
+    def _wait(self, timeout: float | None) -> None:
+        with self._condition:
+            self._condition.wait_for(lambda: self._state in _DONE, timeout)
+
+    def result(self, timeout: float | None = None):
+        """As :meth:`concurrent.futures.Future.result`."""
+        if self._state not in _DONE:
+            self._wait(timeout)
+        # Done, or the wait timed out and the stock call raises TimeoutError.
+        return super().result(0)
+
+    def exception(self, timeout: float | None = None):
+        """As :meth:`concurrent.futures.Future.exception`."""
+        if self._state not in _DONE:
+            self._wait(timeout)
+        return super().exception(0)
+
+
 @dataclass(slots=True)
 class _QueuedItem:
     """A request in flight: the future to resolve and its timing/content keys.
@@ -184,9 +231,10 @@ class _QueuedItem:
 class _Admission:
     """What intake made of a list of requests.
 
-    One future per request in input order, the queueable items as one group
-    per batch key (input order inside each group) and the outcome counts of
-    the requests that never queue.
+    One future per request in input order, all sharing one condition (see
+    :class:`_BlockFuture`), the queueable items as one group per batch key
+    (input order inside each group) and the outcome counts of the requests
+    that never queue.
     """
 
     futures: list[Future]
@@ -416,7 +464,8 @@ class MicroBatchScheduler:
         a whole, see :meth:`_admit_block`.
         """
         self._check_open()
-        admission = _Admission([Future() for _ in requests])
+        condition = threading.Condition()
+        admission = _Admission([_BlockFuture(condition) for _ in requests])
         blocks: dict[tuple, list[int]] = {}
         for position, request in enumerate(requests):
             try:
@@ -441,8 +490,8 @@ class MicroBatchScheduler:
         """Admit the requests of one batch key at ``positions``.
 
         The grid (``times`` 1-D, ``sigma`` finite and positive, and a
-        selection block's ``lambda_grid``, which is part of its batch key)
-        is checked once and the rows are stacked and checked for length and
+        selection block's method and ``lambda_grid``, which are part of its
+        batch key) is checked once and the rows are stacked and checked for length and
         finiteness together.  Each admitted row is fingerprinted from one shared hash
         prefix (:class:`~repro.service.cache.GridFingerprints`, identical to
         :func:`request_fingerprint`) and the whole block is looked up in the
@@ -453,11 +502,14 @@ class MicroBatchScheduler:
         first = requests[positions[0]]
         times = np.asarray(first.times, dtype=float)
         error = _grid_error(times, first.sigma)
-        if error is None and first.lam is None and first.lambda_grid is not None:
-            try:
-                check_lambda_grid(first.lambda_grid)
-            except ValueError as exc:
-                error = str(exc)
+        if error is None and first.lam is None:
+            if first.lambda_method not in LAMBDA_METHODS:
+                error = f"unknown lambda selection method {first.lambda_method!r}"
+            elif first.lambda_grid is not None:
+                try:
+                    check_lambda_grid(first.lambda_grid)
+                except ValueError as exc:
+                    error = str(exc)
         if error is not None:
             for position in positions:
                 admission.reject(position, error)

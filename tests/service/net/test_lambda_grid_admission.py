@@ -4,9 +4,9 @@ The grid of a selection request must be 1-D, non-empty, finite and ``>= 0``,
 the rule a fixed ``lam`` obeys.  Serial ``fit`` raises ``ValueError`` before
 any solve, the scheduler fails the request at admission with ``ValueError``
 (``submit`` and ``submit_many``), and the network edge answers 400 without
-submitting it.  Valid neighbours, selection requests with a good grid among
-them, still match the serial reference, and no client fault reaches the
-breaker.
+submitting it (a per-entry 400 item inside a batch frame).  Valid
+neighbours, selection requests with a good grid among them, still match the
+serial reference, and no client fault reaches the breaker.
 """
 
 import dataclasses
@@ -115,8 +115,12 @@ def test_http_answers_400(live_server, requests, net_factory):
             assert status == 400
             assert reply.kind == "error" and reply.payload["code"] == "bad_request"
             assert "lambda_grid" in reply.payload["message"]
-        # Like any malformed wire field, a bad grid refuses its whole batch frame.
-        with pytest.raises(ProtocolError, match="lambda_grid"):
-            client.fit_batch(wires)
+        # In a batch frame each bad entry gets its own 400 item; the valid
+        # entries of the same frame are solved.
+        batch = client.fit_batch(wires)
+    for position in BAD_POSITIONS:
+        assert isinstance(batch[position], ProtocolError)
+        assert "lambda_grid" in str(batch[position])
     _check_neighbours(results, requests, net_factory)
+    _check_neighbours(dict(enumerate(batch)), requests, net_factory)
     _check_no_server_fault(live_server.server.telemetry.snapshot()["counters"])

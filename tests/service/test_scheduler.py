@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.deconvolver import Deconvolver
+from repro.core.lambda_selection import LAMBDA_METHODS
 from repro.data.synthetic import single_pulse_profile
 from repro.service import (
     FaultPlan,
@@ -779,10 +780,18 @@ class TestKeyBlocks:
             single = [scheduler.submit(request) for request in requests]
         finally:
             scheduler.shutdown()
-        for fingerprint, many, one in zip(expected, bulk, single):
+        hits = 0
+        for request, fingerprint, many, one in zip(requests, expected, bulk, single):
+            if request.lam is None and request.lambda_method not in LAMBDA_METHODS:
+                # An unknown selection method fails at admission, cached or not.
+                for future in (many, one):
+                    with pytest.raises(ValueError, match="unknown lambda selection method"):
+                        future.result(timeout=0)
+                continue
             assert many.result(timeout=0) is sentinels[fingerprint]
             assert one.result(timeout=0) is sentinels[fingerprint]
-        assert scheduler.telemetry.counter("cache_hits") == 2 * len(requests)
+            hits += 2
+        assert scheduler.telemetry.counter("cache_hits") == hits
 
     def test_equal_configs_keep_their_own_fingerprints(self):
         # 1 == 1.0 == True share a batch key but not a repr, so each needs

@@ -32,6 +32,54 @@ class TestHistogram:
         assert len(histogram._values) <= telemetry.MAX_OBSERVATIONS
 
 
+def _same(bulk, loop):
+    assert bulk._values == loop._values
+    assert bulk.count == loop.count
+    assert bulk.total == loop.total  # bit-identical, not approximately equal
+    assert bulk.summary() == loop.summary()
+
+
+class TestObserveMany:
+    """``observe_many`` is repeated ``observe``, decimation included."""
+
+    @pytest.mark.parametrize("cap", [10, 11])
+    def test_chunks_across_decimation(self, monkeypatch, cap):
+        from repro.service import telemetry
+
+        monkeypatch.setattr(telemetry, "MAX_OBSERVATIONS", cap)
+        rng = np.random.default_rng(3)
+        bulk, loop = Histogram(), Histogram()
+        # Chunks shorter than, equal to and many times the cap, landing on
+        # every offset of the decimation point.
+        for size in [0, 1, 3, cap - 1, cap, cap + 1, 2 * cap + 3, 5 * cap, 7, 1, 4 * cap + 1]:
+            values = rng.lognormal(-7.0, 1.0, size)
+            bulk.observe_many(values)
+            for value in values:
+                loop.observe(value)
+            _same(bulk, loop)
+        assert len(bulk._values) <= cap
+
+    def test_real_cap(self):
+        from repro.service import telemetry
+
+        values = np.random.default_rng(4).random(telemetry.MAX_OBSERVATIONS + 1234) * 1e-3
+        bulk, loop = Histogram(), Histogram()
+        loop.observe(0.1)
+        bulk.observe_many([0.1])
+        bulk.observe_many(values.tolist())
+        for value in values.tolist():
+            loop.observe(value)
+        _same(bulk, loop)
+
+    def test_accepts_any_iterable_of_numbers(self):
+        bulk, loop = Histogram(), Histogram()
+        bulk.observe_many(iter([1, np.float32(2.5), 3.0]))
+        for value in (1, np.float32(2.5), 3.0):
+            loop.observe(value)
+        _same(bulk, loop)
+        assert all(type(value) is float for value in bulk._values)
+
+
 class TestTelemetry:
     def test_counters_and_snapshot(self):
         telemetry = Telemetry()
