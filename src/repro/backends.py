@@ -1,16 +1,24 @@
-"""Pure-numpy reference implementations of the hot-path kernels.
+"""The numpy kernels of the hot inner loops.
 
-This module *is* the package's numerical contract: every kernel is the
-vectorised implementation the solve path shipped with, and a pure function.
-The compiled backend must match it to ``<= 1e-12`` elementwise (integer
-outputs exactly).
+Seven pure functions: the fused Horner volume evaluation and the binning,
+bincount and row-smoothing passes of the kernel build, the quadrature
+reduction of constraint assembly, and the scatter and objective passes of
+the batched QP solve.  Call sites import them directly.
 """
 
 from __future__ import annotations
 
+import sys
+from types import ModuleType
+
 import numpy as np
 
 name = "numpy"
+
+
+def active_backend() -> ModuleType:
+    """This module; ``perfbench/run.py`` records its ``name`` as ``kernel_backend``."""
+    return sys.modules[__name__]
 
 
 def smooth_volume_into(

@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro import backends, config
+from repro import config
+from repro.backends import smooth_rows, uniform_bin_indices, weighted_bincount
 from repro.cellcycle.parameters import CellCycleParameters
 from repro.cellcycle.phase import InitialCondition
 from repro.cellcycle.population import PopulationHistory, PopulationSimulator
@@ -241,10 +242,9 @@ class KernelBuilder:
         (:meth:`~repro.cellcycle.volume.VolumeModel.volume_for_cells_into`),
         and the bin indices are turned into flat (time, bin) keys in place —
         no intermediate volume array, no separate Horner and binning stages.
-        The binning, volume and smoothing inner loops run on the active
-        kernel backend (``repro.backends``).
+        The binning, volume and smoothing inner loops are the kernels of
+        :mod:`repro.backends`.
         """
-        kernel_backend = backends.active_backend()
         times = ensure_1d(times, "times")
         if np.any(times < 0):
             raise ValueError(f"time must be non-negative, got {float(times.min())}")
@@ -270,7 +270,7 @@ class KernelBuilder:
         # caller-supplied) volume model straight into the weight buffer of
         # the histogram pass.  The bin indices double as the flat (time, bin)
         # keys after an in-place shift by the snapshot offset.
-        keys = kernel_backend.uniform_bin_indices(phases, edges)
+        keys = uniform_bin_indices(phases, edges)
         keys += time_idx * num_bins
         weights = simulator.volume_model.volume_for_cells_into(
             phases,
@@ -278,7 +278,7 @@ class KernelBuilder:
             cell_idx,
             np.empty(phases.shape),
         )
-        histograms = kernel_backend.weighted_bincount(
+        histograms = weighted_bincount(
             keys, weights, num_times * num_bins
         ).reshape(num_times, num_bins)
         # Every pair lands in exactly one bin, so the per-time total volume
@@ -301,12 +301,12 @@ class KernelBuilder:
         rounding of the sliding-sum formulation): edge-padded moving average
         via a cumulative sum, then per-row renormalisation to preserve each
         row's integral.  Rows whose smoothed integral degenerates to zero are
-        kept unsmoothed, matching the per-row guard.  The pass runs on the
-        active kernel backend (``repro.backends``).
+        kept unsmoothed, matching the per-row guard
+        (:func:`repro.backends.smooth_rows`).
         """
         if self.smoothing_window == 1:
             return rows
-        return backends.active_backend().smooth_rows(rows, widths, self.smoothing_window)
+        return smooth_rows(rows, widths, self.smoothing_window)
 
     def _smooth_row(self, row: np.ndarray, widths: np.ndarray) -> np.ndarray:
         """Moving-average smoothing of one kernel row, preserving its integral."""

@@ -23,7 +23,13 @@ from repro.cellcycle.parameters import CellCycleParameters
 from repro.cellcycle.phase import InitialCondition, draw_cohort
 from repro.cellcycle.volume import SmoothVolumeModel, VolumeModel
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_positive, ensure_1d
+from repro.utils.validation import InvalidRequest, check_positive, ensure_1d
+
+#: Most cells one :meth:`PopulationSimulator.run` may create, founders
+#: included.  The population doubles every cycle, so a long horizon would
+#: otherwise exhaust memory; every horizon the experiments use (<= 180 min,
+#: <= 40k founders, ~120k cells) stays far below it.
+MAX_SIMULATED_CELLS = 2_000_000
 
 
 @dataclass
@@ -164,6 +170,16 @@ class PopulationHistory:
         return self._pairs_value
 
 
+def _check_population_size(total: int, founders: int, t_end: float) -> None:
+    """Raise :class:`InvalidRequest` when ``total`` cells exceed the cap."""
+    if total > MAX_SIMULATED_CELLS:
+        raise InvalidRequest(
+            f"simulating {founders} founder cells to t = {t_end:g} min would create "
+            f"more than {MAX_SIMULATED_CELLS} cells; shorten the time grid or use "
+            "fewer founder cells"
+        )
+
+
 class PopulationSimulator:
     """Simulate an asynchronously dividing Caulobacter population.
 
@@ -198,11 +214,18 @@ class PopulationSimulator:
 
         Returns a :class:`PopulationHistory` containing every founder and
         every daughter created before the horizon.
+
+        Raises
+        ------
+        InvalidRequest
+            When the history would hold more than :data:`MAX_SIMULATED_CELLS`
+            cells; checked before each generation is allocated.
         """
         num_cells = int(num_cells)
         if num_cells < 1:
             raise ValueError(f"num_cells must be >= 1, got {num_cells}")
         t_end = check_positive(t_end, "t_end")
+        _check_population_size(num_cells, num_cells, t_end)
         generator = as_generator(rng)
 
         initial_phases, cycle_times, transition_phases = draw_cohort(
@@ -225,11 +248,14 @@ class PopulationSimulator:
         frontier_division = current_division[frontier]
         frontier_generation = current_generation[frontier]
 
+        total = num_cells
         max_rounds = 64
         for _ in range(max_rounds):
             if frontier.size == 0:
                 break
             num_dividing = frontier.size
+            total += 2 * num_dividing
+            _check_population_size(total, num_cells, t_end)
             # Swarmer daughters: phase 0; stalked daughters: their own phi_sst.
             sw_sst = self.parameters.sample_transition_phase(num_dividing, generator)
             sw_cycle = self.parameters.sample_cycle_time(num_dividing, generator)

@@ -21,7 +21,7 @@ import abc
 
 import numpy as np
 
-from repro import backends
+from repro.backends import smooth_volume_into
 from repro.utils.validation import check_positive
 
 
@@ -245,15 +245,14 @@ class SmoothVolumeModel(VolumeModel):
     ) -> np.ndarray:
         """Fused Horner evaluation straight into a caller-provided buffer.
 
-        The piecewise polynomial is accumulated in place in ``out`` by the
-        active kernel backend (``repro.backends``): the numpy reference
-        Horner-evaluates the piece covering the **majority** of the pairs
-        over the whole buffer and scatters only the minority piece through
-        its boolean mask — no full second-piece array, no ``where``
-        allocation — while the compiled backend runs one fused per-pair
-        loop.  This is the path the fused kernel build uses: ``out`` is the
-        weight buffer of the binned accumulation, so volume evaluation flows
-        directly into the histogram pass.
+        The piecewise polynomial is accumulated in place in ``out`` by
+        :func:`repro.backends.smooth_volume_into`: it Horner-evaluates the
+        piece covering the **majority** of the pairs over the whole buffer
+        and scatters only the minority piece through its boolean mask — no
+        full second-piece array, no ``where`` allocation.  This is the path
+        the fused kernel build uses: ``out`` is the weight buffer of the
+        binned accumulation, so volume evaluation flows directly into the
+        histogram pass.
         """
         phi = np.asarray(phi, dtype=float)
         s = np.asarray(transition_phases, dtype=float)
@@ -264,7 +263,7 @@ class SmoothVolumeModel(VolumeModel):
             raise ValueError("transition phases must lie strictly inside (0, 1)")
         phi = np.clip(phi, 0.0, 1.0)
         late_base, linear, quad, cubic = self._cached_coefficients(s)
-        return backends.active_backend().smooth_volume_into(
+        return smooth_volume_into(
             phi, s, cell_indices, late_base, linear, quad, cubic, self.v0, out
         )
 

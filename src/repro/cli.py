@@ -11,7 +11,6 @@ Usage::
     python -m repro.cli serve-bench [--requests 96] [--grids 2] [--verbose]
     python -m repro.cli serve-bench --http [--http-clients 4]
     python -m repro.cli serve [--host 127.0.0.1] [--port 8732]
-    python -m repro.cli backends
 
 Each sub-command runs the corresponding experiment driver — all of which
 route their fits through the experiment-scoped ``FitSession`` layer — and
@@ -21,13 +20,9 @@ tests the micro-batching fit service (``repro.service``) against
 one-request-at-a-time fits and verifies every response to 1e-10; with
 ``--http`` the same workload travels over real sockets through the network
 edge (``repro.service.net``) and the same gate applies end to end.
-``serve`` runs that network edge in the foreground (HTTP + WebSocket
-streaming plus the ``/healthz`` / ``/metrics`` / ``/pool`` / ``/backends``
-ops routes) until interrupted.
-
-``backends`` prints the kernel backend selected at import by the
-``REPRO_BACKEND`` environment variable (``numpy`` reference or the compiled
-``numba`` backend from the ``[compiled]`` extra) and the requested name.
+``serve`` runs that network edge in the foreground (the HTTP fit routes
+plus the ``/healthz`` / ``/metrics`` / ``/pool`` ops routes) until
+interrupted.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro import backends, config
+from repro import config
 from repro.cellcycle.celltypes import CellType
 from repro.data.io import save_profile_csv
 from repro.data.timeseries import PhaseProfile
@@ -137,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     server = subparsers.add_parser(
         "serve",
-        help="run the fit service network edge (HTTP + WebSocket) in the foreground",
+        help="run the fit service network edge (HTTP) in the foreground",
     )
     server.add_argument("--host", type=str, default=config.DEFAULT_NET_HOST,
                         help="bind host (loopback by default)")
@@ -149,13 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="distinct measurement time grids to register")
     server.add_argument("--max-batch", type=int, default=64, help="scheduler batch size bound")
     server.add_argument("--workers", type=int, default=2, help="scheduler worker threads")
-    server.add_argument("--max-inflight", type=int, default=config.DEFAULT_STREAM_WINDOW,
-                        help="per-connection in-flight window of the streaming route")
-
-    subparsers.add_parser(
-        "backends",
-        help=f"print the active and requested kernel backend ({config.BACKEND_ENV_VAR})",
-    )
     return parser
 
 
@@ -465,16 +453,10 @@ def _run_serve(args: argparse.Namespace) -> int:
     pool = SessionPool(factory)
 
     async def serve() -> None:
-        server = FitServer(
-            scheduler,
-            host=args.host,
-            port=args.port,
-            max_inflight=args.max_inflight,
-        )
+        server = FitServer(scheduler, host=args.host, port=args.port)
         await server.start()
         print(f"repro fit service listening on http://{server.host}:{server.port}")
-        print("routes: POST /v1/fit  POST /v1/fit/batch  GET /v1/stream (ws)  "
-              "/healthz  /metrics  /pool  /backends")
+        print("routes: POST /v1/fit  POST /v1/fit/batch  /healthz  /metrics  /pool")
         try:
             await server.serve_forever()
         except asyncio.CancelledError:
@@ -632,13 +614,6 @@ def _run_serve_scenarios(args: argparse.Namespace, kernels, factory) -> int:
     return 0
 
 
-def _run_backends(args: argparse.Namespace) -> int:
-    """Print the active and requested kernel backend (``repro backends``)."""
-    print(f"active: {backends.active_backend().name}")
-    print(f"requested: {backends.requested_backend()} ({config.BACKEND_ENV_VAR})")
-    return 0
-
-
 def _run_sensitivity(args: argparse.Namespace) -> int:
     result = run_mu_sst_sensitivity(num_cells=args.cells, rng=args.seed)
     print(format_table(
@@ -662,7 +637,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "ablations": _run_ablations,
         "serve-bench": _run_serve_bench,
         "serve": _run_serve,
-        "backends": _run_backends,
     }
     with np.printoptions(precision=4, suppress=True):
         return handlers[args.command](args)

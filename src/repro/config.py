@@ -43,13 +43,6 @@ DEFAULT_NUM_BASIS: int = 12
 #: constraints and profile evaluation.
 DEFAULT_FINE_GRID: int = 201
 
-#: Environment variable read once, when ``repro.backends`` is imported: the
-#: only kernel-backend selection.  Unset means the ``numpy`` reference;
-#: ``numba`` selects the compiled backend when the ``[compiled]`` extra is
-#: installed (otherwise, like an unknown name, it logs a warning and uses
-#: numpy).
-BACKEND_ENV_VAR: str = "REPRO_BACKEND"
-
 #: Worker cap for thread pools (the service scheduler's batch workers).
 DEFAULT_THREAD_POOL_CAP: int = 4
 
@@ -60,16 +53,11 @@ DEFAULT_NET_HOST: str = "127.0.0.1"
 #: Default TCP port of the network front end (0 = ephemeral, for tests).
 DEFAULT_NET_PORT: int = 8732
 
-#: Per-connection in-flight window of the WebSocket streaming route: a
-#: stream may have at most this many submitted-but-undelivered fits, which
-#: bounds server-side buffering per connection (slow-consumer backpressure).
-DEFAULT_STREAM_WINDOW: int = 32
-
 #: Seconds the HTTP edge waits on scheduler intake backpressure before
 #: answering 429 (intake_overflow).
 DEFAULT_SUBMIT_TIMEOUT_S: float = 30.0
 
-#: Largest HTTP request body / WebSocket message the network edge accepts.
+#: Largest HTTP request body the network edge accepts.
 DEFAULT_MAX_MESSAGE_BYTES: int = 16 * 1024 * 1024
 
 

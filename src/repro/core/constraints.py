@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import backends
+from repro.backends import weighted_dot
 from repro.cellcycle.parameters import CellCycleParameters
 from repro.core.basis import SplineBasis, clear_penalty_cache
 from repro.numerics.quadrature import simpson_weights
@@ -340,7 +340,7 @@ class RNAConservationConstraint(Constraint):
         parameters = context.parameters
         _, weights, density = context.density_quadrature(self.quadrature_size)
         basis_at_zero, basis_at_one = context.endpoint_values
-        density_integral = backends.active_backend().weighted_dot(
+        density_integral = weighted_dot(
             weights, density, context.basis_values(self.quadrature_size)
         )
         row = (
@@ -377,7 +377,6 @@ class RateContinuityConstraint(Constraint):
     ) -> None:
         """Append the rate-continuity row from the context's cached tables."""
         parameters = context.parameters
-        kernel_backend = backends.active_backend()
         _, weights, density = context.density_quadrature(self.quadrature_size)
         # The divergence of beta at phi = 1 is handled once, inside the
         # context's masked beta table (see AssemblyContext.beta_quadrature).
@@ -392,13 +391,13 @@ class RateContinuityConstraint(Constraint):
         lhs = (
             beta0 * basis_at_one
             - beta0 * basis_at_zero
-            - kernel_backend.weighted_dot(weights, beta_density, basis_on_grid)
+            - weighted_dot(weights, beta_density, basis_on_grid)
         )
         # Right-hand side of eq. 17: integral of w2 against f'.
         rhs = (
             parameters.swarmer_volume_fraction * deriv_at_zero
             + parameters.stalked_volume_fraction
-            * kernel_backend.weighted_dot(weights, density, deriv_on_grid)
+            * weighted_dot(weights, density, deriv_on_grid)
             - deriv_at_one
         )
         row = lhs - rhs

@@ -11,9 +11,7 @@ Repeated fits share everything reusable through an experiment-scoped
 problems (with their per-lambda QP factorizations and selection plans) are
 cached per measurement grid, multi-species batches and bootstrap replicates
 ride the batched multi-RHS engine, and each solve can be warm-started from a
-related previous fit via the ``warm_start`` argument.  The session — reached
-with :meth:`Deconvolver.session` — also exposes the streaming
-``submit``/``flush``/``fit_stream`` API for service-style callers.
+related previous fit via the ``warm_start`` argument.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Experiment-scoped fit session: cross-grid caching and a streaming fit API.
+"""Experiment-scoped fit session: cross-grid caching of the solve state.
 
 A :class:`FitSession` owns every reusable artifact of one experiment
 configuration — Monte-Carlo kernels, forward models, assembled template
@@ -8,23 +8,15 @@ grid, so ``N`` species measured on ``M`` time grids pay kernel construction
 and problem assembly once **per grid** instead of once per fit.  The session
 is the layer the :class:`~repro.core.deconvolver.Deconvolver` facade, the
 experiment drivers and the CLI all route through; a
-:class:`FitWorkspace` is merely the session's per-grid view.
-
-On top of the caches the session offers a **streaming fit API** for
-service-style callers: :meth:`FitSession.submit` queues incoming measurement
-vectors, :meth:`FitSession.flush` groups everything queued by (grid, fit
-options) and pushes each group through the batched multi-RHS engine
-(``fit_many(engine="batch")``), and :meth:`FitSession.fit_stream` wraps both
-into an iterator.  A caller feeding vectors one at a time therefore gets the
-amortised multi-RHS marginal cost without managing the batching itself, and
-the results are identical (to solver precision) to one-shot
-:meth:`~repro.core.deconvolver.Deconvolver.fit` calls.
+:class:`FitWorkspace` is merely the session's per-grid view.  Callers
+batch fits themselves: :meth:`~repro.core.deconvolver.Deconvolver.fit_many`
+solves the columns of one :func:`fit_options_bucket` together, and the
+service scheduler coalesces concurrent requests on the same key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -69,8 +61,7 @@ def fit_options_bucket(
     a per-species lambda sequence and groups by lambda internally — while
     selection fits also group by method and candidate grid (those steer the
     scoring pass).  This is the single source of truth for batch
-    compatibility; the session's streaming flush and the service scheduler's
-    coalescing both key on it.
+    compatibility; the service scheduler's coalescing keys on it.
     """
     times = np.asarray(times, dtype=float)
     times_key = times_fingerprint(times)
@@ -139,30 +130,6 @@ class FitWorkspace:
         return times_fingerprint(times), sigma_fingerprint(times, sigma)
 
 
-@dataclass
-class _PendingFit:
-    """One queued streaming fit awaiting the next :meth:`FitSession.flush`."""
-
-    ticket: int
-    times: np.ndarray
-    measurements: np.ndarray
-    sigma: np.ndarray | float | None
-    lam: float | None
-    lambda_method: str
-    lambda_grid: np.ndarray | None
-    rng: SeedLike
-
-    def bucket(self) -> tuple:
-        """Grouping key: fits in one bucket run as a single batched solve.
-
-        Delegates to :func:`fit_options_bucket`, the shared source of truth
-        for batch compatibility.
-        """
-        return fit_options_bucket(
-            self.times, self.sigma, self.lam, self.lambda_method, self.lambda_grid
-        )
-
-
 class FitSession:
     """Shared solve state for every fit of one experiment configuration.
 
@@ -203,17 +170,13 @@ class FitSession:
         self._forwards: dict[bytes, ForwardModel] = {}
         self._workspaces: dict[tuple[bytes, bytes], FitWorkspace] = {}
         self._constraint_set: ConstraintSet | None = None
-        self._pending: list[_PendingFit] = []
-        self._next_ticket = 0
         # Usage counters surfaced by stats(); the service layer's pool and
         # scheduler read them for telemetry and size accounting.
         self._workspace_hits = 0
         self._workspace_misses = 0
         self._kernel_builds = 0
-        self._flushes = 0
-        self._fits_flushed = 0
         # Constructing a session adopts it as the deconvolver's active one,
-        # so fits delegated through the facade (fit, fit_many, flush) route
+        # so fits delegated through the facade (fit, fit_many) route
         # back into *this* session's caches rather than a parallel one.
         deconvolver._session = self
 
@@ -241,11 +204,6 @@ class FitSession:
         """Number of cached per-(times, sigma) workspaces."""
         return len(self._workspaces)
 
-    @property
-    def num_pending(self) -> int:
-        """Number of submitted fits waiting for the next :meth:`flush`."""
-        return len(self._pending)
-
     def approx_bytes(self) -> int:
         """Approximate memory held by the session's per-grid artifacts.
 
@@ -268,21 +226,17 @@ class FitSession:
         Returns
         -------
         dict
-            ``grids`` / ``workspaces`` / ``pending`` sizes,
-            ``workspace_hits`` / ``workspace_misses`` cache counters,
-            ``kernel_builds`` (on-demand Monte-Carlo builds paid),
-            ``flushes`` / ``fits_flushed`` streaming counters and
-            ``approx_bytes`` (see :meth:`approx_bytes`).
+            ``grids`` / ``workspaces`` sizes, ``workspace_hits`` /
+            ``workspace_misses`` cache counters, ``kernel_builds``
+            (on-demand Monte-Carlo builds paid) and ``approx_bytes`` (see
+            :meth:`approx_bytes`).
         """
         return {
             "grids": self.num_grids,
             "workspaces": self.num_workspaces,
-            "pending": self.num_pending,
             "workspace_hits": self._workspace_hits,
             "workspace_misses": self._workspace_misses,
             "kernel_builds": self._kernel_builds,
-            "flushes": self._flushes,
-            "fits_flushed": self._fits_flushed,
             "approx_bytes": self.approx_bytes(),
         }
 
@@ -382,114 +336,3 @@ class FitSession:
     ) -> list["DeconvolutionResult"]:
         """Batched multi-species fit (see :meth:`Deconvolver.fit_many`)."""
         return self.deconvolver.fit_many(times, measurement_matrix, **options)
-
-    # ------------------------------------------------------------------
-    # Streaming API
-    # ------------------------------------------------------------------
-
-    def submit(
-        self,
-        times: np.ndarray,
-        measurements: np.ndarray,
-        *,
-        sigma: np.ndarray | float | None = None,
-        lam: float | None = None,
-        lambda_method: str = "gcv",
-        lambda_grid: np.ndarray | None = None,
-        rng: SeedLike = 0,
-        copy: bool = True,
-    ) -> int:
-        """Queue one measurement vector for the next :meth:`flush`.
-
-        Arguments mirror :meth:`Deconvolver.fit`.  Returns a ticket number;
-        :meth:`flush` returns results in submission (ticket) order.  Fits
-        submitted with the same grid and fit options are solved together as
-        one stacked multi-RHS batch; ``rng`` is taken from the first
-        submission of each batch (it only seeds kernel construction and CV
-        fold assignment, both shared across the batch).  With ``copy=False``
-        the queue keeps references instead of snapshots — the caller
-        promises not to mutate the arrays before the flush (the service
-        scheduler owns its request arrays and uses this).
-        """
-        measurements = ensure_1d(measurements, "measurements")
-        times = ensure_1d(times, "times")
-        if lambda_grid is not None:
-            lambda_grid = np.asarray(lambda_grid, dtype=float)
-        if copy:
-            measurements = measurements.copy()
-            times = times.copy()
-            lambda_grid = None if lambda_grid is None else lambda_grid.copy()
-        pending = _PendingFit(
-            ticket=self._next_ticket,
-            times=times,
-            measurements=measurements,
-            sigma=sigma,
-            lam=lam,
-            lambda_method=lambda_method,
-            lambda_grid=lambda_grid,
-            rng=rng,
-        )
-        self._next_ticket += 1
-        self._pending.append(pending)
-        return pending.ticket
-
-    def flush(self) -> list["DeconvolutionResult"]:
-        """Solve everything queued by :meth:`submit`, in submission order.
-
-        Pending fits are grouped by (grid, fit options); each group runs as
-        one ``fit_many(engine="batch")`` call against this session's shared
-        workspace, i.e. one stacked multi-RHS solve per selected lambda.
-        """
-        if not self._pending:
-            return []
-        pending, self._pending = self._pending, []
-        self._flushes += 1
-        self._fits_flushed += len(pending)
-        buckets: dict[tuple, list[_PendingFit]] = {}
-        for item in pending:
-            buckets.setdefault(item.bucket(), []).append(item)
-        results: dict[int, "DeconvolutionResult"] = {}
-        for items in buckets.values():
-            first = items[0]
-            matrix = np.column_stack([item.measurements for item in items])
-            lam: object = None
-            if first.lam is not None:
-                # A fixed-lambda bucket may mix lambda values; fit_many
-                # accepts the per-species sequence and groups internally.
-                lam = [item.lam for item in items]
-            fits = self.deconvolver.fit_many(
-                first.times,
-                matrix,
-                sigma=first.sigma,
-                lam=lam,
-                lambda_method=first.lambda_method,
-                lambda_grid=first.lambda_grid,
-                rng=first.rng,
-                engine="batch",
-            )
-            for item, fit in zip(items, fits):
-                results[item.ticket] = fit
-        return [results[item.ticket] for item in pending]
-
-    def fit_stream(
-        self,
-        items: Iterable[tuple[np.ndarray, np.ndarray]],
-        *,
-        flush_every: Optional[int] = None,
-        **options,
-    ) -> Iterator["DeconvolutionResult"]:
-        """Fit a stream of ``(times, measurements)`` pairs, batched.
-
-        Results are yielded in input order.  With ``flush_every`` set, the
-        queue is flushed whenever that many fits are pending (bounding both
-        latency and memory); otherwise one flush at the end of the stream
-        solves everything in maximal batches.  Keyword ``options`` are
-        forwarded to :meth:`submit` for every item.
-        """
-        if flush_every is not None and flush_every < 1:
-            raise ValueError("flush_every must be a positive integer")
-        for times, measurements in items:
-            self.submit(times, measurements, **options)
-            if flush_every is not None and self.num_pending >= flush_every:
-                yield from self.flush()
-        yield from self.flush()

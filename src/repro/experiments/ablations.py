@@ -195,18 +195,20 @@ def run_lambda_ablation(
         lambdas = default_lambda_grid(num=7, low=1e-5, high=1e1)
     deconvolver = Deconvolver(kernel, parameters=parameters, num_basis=num_basis)
     phases = np.linspace(0.0, 1.0, 201)
-    # The whole sweep — every fixed lambda plus both automatic selectors —
-    # is submitted to one session and flushed as batched solves against the
-    # shared assembled problem; each per-lambda factorization is built once.
+    # The whole sweep runs against one session: the fixed lambdas as one
+    # stacked fit_many call, then one call per automatic selector, all
+    # sharing the assembled problem and its per-lambda factorizations.
     session = deconvolver.session()
-    names: list[str] = []
-    for lam in lambdas:
-        names.append(f"lambda={lam:.3g}")
-        session.submit(times, values, sigma=sigma, lam=float(lam))
+    column = values[:, None]
+    names = [f"lambda={lam:.3g}" for lam in lambdas] + ["gcv", "kfold"]
+    results = session.fit_many(
+        times,
+        np.repeat(column, len(lambdas), axis=1),
+        sigma=sigma,
+        lam=[float(lam) for lam in lambdas],
+    )
     for method in ("gcv", "kfold"):
-        names.append(method)
-        session.submit(times, values, sigma=sigma, lam=None, lambda_method=method)
-    results = session.flush()
+        results += session.fit_many(times, column, sigma=sigma, lambda_method=method)
     truth_values = truth_profile(phases)
     return {
         name: nrmse(result.profile(phases), truth_values)

@@ -22,6 +22,7 @@ from repro.cellcycle.kernel import KernelBuilder, VolumeKernel
 from repro.cellcycle.parameters import CellCycleParameters
 from repro.core.deconvolver import Deconvolver
 from repro.core.result import DeconvolutionResult
+from repro.core.session import fit_options_bucket
 from repro.data.noise import GaussianMagnitudeNoise
 from repro.data.timeseries import PhaseProfile
 from repro.dynamics.lotka_volterra import LotkaVolterraModel
@@ -151,26 +152,32 @@ def run_oscillator_experiment(
             population[name] = clean.copy()
             sigmas[name] = None
 
-    # All species run through one experiment-scoped session: submissions
-    # sharing a (grid, sigma) bucket are solved as one stacked multi-RHS
-    # batch, and every species reuses the same assembled problem and
-    # lambda-selection factorizations.
+    # All species run through one experiment-scoped session: species sharing
+    # a (grid, sigma) bucket are solved as one stacked multi-RHS batch, one
+    # fit_many call per bucket in first-seen order, and every species reuses
+    # the same assembled problem and lambda-selection factorizations.
     deconvolver = Deconvolver(kernel, parameters=parameters, num_basis=num_basis)
     session = deconvolver.session()
+    buckets: dict[tuple, list[str]] = {}
     for name in model.species_names:
-        session.submit(
+        key = fit_options_bucket(times, sigmas[name], lam, lambda_method, None)
+        buckets.setdefault(key, []).append(name)
+    fitted: dict[str, DeconvolutionResult] = {}
+    for names in buckets.values():
+        fits = session.fit_many(
             times,
-            population[name],
-            sigma=sigmas[name],
-            lam=lam,
+            np.column_stack([population[name] for name in names]),
+            sigma=sigmas[names[0]],
+            lam=None if lam is None else [lam] * len(names),
             lambda_method=lambda_method,
             rng=generator,
         )
-    deconvolved: dict[str, DeconvolutionResult] = {}
-    comparisons: dict[str, ProfileComparison] = {}
-    for name, result in zip(model.species_names, session.flush()):
-        deconvolved[name] = result
-        comparisons[name] = compare_to_truth(result, truth_profiles[name])
+        fitted.update(zip(names, fits))
+    deconvolved = {name: fitted[name] for name in model.species_names}
+    comparisons = {
+        name: compare_to_truth(result, truth_profiles[name])
+        for name, result in deconvolved.items()
+    }
 
     return OscillatorExperimentResult(
         times=times,

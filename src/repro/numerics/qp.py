@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from repro import backends
+from repro.backends import batch_objectives, partition_accepted
 from repro.utils.validation import ensure_1d, ensure_2d
 
 
@@ -749,7 +749,6 @@ class QPWorkspace:
             raise ValueError(
                 "gradients must have shape (num_problems, num_variables)"
             )
-        kb = backends.active_backend()
         num_problems = gradients.shape[0]
         n = self.num_variables
         solutions = np.zeros((num_problems, n))
@@ -778,7 +777,7 @@ class QPWorkspace:
                     gradients[rows], guess, tol
                 )
                 working_sorted = sorted(working)
-                accepted_rows, pending_rows = kb.partition_accepted(
+                accepted_rows, pending_rows = partition_accepted(
                     solutions, rows, candidates, accepted
                 )
                 for row in accepted_rows:
@@ -803,7 +802,7 @@ class QPWorkspace:
             if row_result.converged:
                 guess = list(row_result.active_set)
 
-        objectives = kb.batch_objectives(solutions, self.hessian, gradients)
+        objectives = batch_objectives(solutions, self.hessian, gradients)
         return BatchQPResult(
             x=solutions,
             objectives=objectives,

@@ -21,7 +21,7 @@ long-lived runtime for concurrent deconvolution traffic:
   behind the solve/build/cache boundaries for the chaos scenario suite;
 * :mod:`~repro.service.loadgen` — deterministic seeded workload generation
   and chaos scenarios for benchmarks and ``repro serve-bench``;
-* :mod:`~repro.service.net` — the asyncio HTTP/WebSocket network edge
+* :mod:`~repro.service.net` — the asyncio HTTP network edge
   (versioned wire protocol, ops routes, bundled blocking clients) serving
   a scheduler over real sockets (``repro serve``).  Imported lazily — the
   in-process service layer never pays for it.
@@ -53,6 +53,7 @@ from repro.service.pool import PoolEntry, SessionFactory, SessionPool
 from repro.service.robustness import CircuitBreaker, RetryPolicy
 from repro.service.scheduler import DEFAULT_CONFIG_KEY, FitRequest, MicroBatchScheduler
 from repro.service.telemetry import Histogram, Telemetry
+from repro.utils.validation import InvalidRequest
 
 __all__ = [
     "DEFAULT_CONFIG_KEY",
@@ -65,6 +66,7 @@ __all__ = [
     "Histogram",
     "InjectedFault",
     "IntakeOverflow",
+    "InvalidRequest",
     "MicroBatchScheduler",
     "PoolEntry",
     "RequestShed",

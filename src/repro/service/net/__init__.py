@@ -1,18 +1,17 @@
-"""Network front end of the fit service: protocol, server, clients.
+"""Network front end of the fit service: protocol, server, client.
 
 The edge layer exposing :class:`~repro.service.scheduler.MicroBatchScheduler`
 over real sockets:
 
 * :mod:`~repro.service.net.protocol` — the versioned, typed JSON wire
-  schema (fit/result/error/hello frames, taxonomy mapping);
-* :mod:`~repro.service.net.ws` — minimal RFC 6455 WebSocket framing;
-* :mod:`~repro.service.net.server` — the asyncio HTTP + WebSocket server
-  with ops routes and slow-consumer backpressure;
-* :mod:`~repro.service.net.client` — blocking HTTP and stream clients for
-  benches, tests and scripts.
+  schema (fit/result/error frames, taxonomy mapping);
+* :mod:`~repro.service.net.server` — the asyncio HTTP server with ops
+  routes;
+* :mod:`~repro.service.net.client` — the blocking HTTP client for benches,
+  tests and scripts.
 """
 
-from repro.service.net.client import FitHTTPClient, StreamClient
+from repro.service.net.client import FitHTTPClient
 from repro.service.net.protocol import (
     FRAME_KINDS,
     PROTOCOL_VERSION,
@@ -23,7 +22,6 @@ from repro.service.net.protocol import (
     VersionMismatch,
     WireError,
     WireFit,
-    WireHello,
     WireResult,
     decode_frame,
     error_to_frame,
@@ -41,11 +39,9 @@ __all__ = [
     "ProtocolError",
     "RemoteError",
     "ServerHandle",
-    "StreamClient",
     "VersionMismatch",
     "WireError",
     "WireFit",
-    "WireHello",
     "WireResult",
     "decode_frame",
     "error_to_frame",

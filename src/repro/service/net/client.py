@@ -1,44 +1,34 @@
-"""Blocking clients for the fit service network edge.
+"""Blocking client for the fit service network edge.
 
-Two thin, dependency-free clients over the stdlib socket stack, speaking
-the :mod:`repro.service.net.protocol` frames:
-
-* :class:`FitHTTPClient` — request/response over one raw HTTP/1.1
-  keep-alive socket.  Typed errors come back as the *original* taxonomy
-  exceptions via :func:`~repro.service.net.protocol.frame_to_error`, so
-  remote calls fail the same way in-process calls do.
-* :class:`StreamClient` — the WebSocket streaming route on a raw socket,
-  with client-side masking per RFC 6455 and the correlation-id bookkeeping
-  for out-of-order completion.
-
-Both are what the CLI bench and the integration test layer drive against
-real sockets; they are deliberately synchronous so plain threads (and the
-seeded load generator) can use them without an event loop.
+:class:`FitHTTPClient` is a thin, dependency-free client over the stdlib
+socket stack, speaking the :mod:`repro.service.net.protocol` frames as
+request/response over one raw HTTP/1.1 keep-alive socket.  Typed errors
+come back as the *original* taxonomy exceptions via
+:func:`~repro.service.net.protocol.frame_to_error`, so remote calls fail
+the same way in-process calls do.  It is what the CLI bench and the
+integration test layer drive against real sockets; it is deliberately
+synchronous so plain threads (and the seeded load generator) can use it
+without an event loop.
 """
 
 from __future__ import annotations
 
 import json
 import socket
-import threading
-import uuid
 
 from repro import config
-from repro.service.net import ws
 from repro.service.net.protocol import (
-    PROTOCOL_VERSION,
     Frame,
     ProtocolError,
     RemoteError,
     WireError,
     WireFit,
-    WireHello,
     WireResult,
     decode_frame,
     frame_to_error,
 )
 
-__all__ = ["FitHTTPClient", "StreamClient"]
+__all__ = ["FitHTTPClient"]
 
 #: Ceiling on a response head (status line plus headers), in bytes.
 _MAX_HEAD_BYTES = 65536
@@ -252,153 +242,3 @@ class FitHTTPClient:
     def pool(self) -> dict:
         """The ``/pool`` scheduler/session-pool stats document."""
         return self.get_json("/pool")
-
-    def backends(self) -> dict:
-        """The ``/backends`` document: active and requested kernel backend."""
-        return self.get_json("/backends")
-
-
-class StreamClient:
-    """Blocking WebSocket client of the ``/v1/stream`` route.
-
-    Performs the RFC 6455 handshake on a raw socket, sends masked fit
-    frames tagged with correlation ids, and reads result/error frames in
-    whatever order the server finishes them.  ``recv_frame`` surfaces each
-    frame; :meth:`collect` gathers responses for a set of submitted ids.
-
-    A *deliberately slow* consumer — the backpressure regression test —
-    just submits many fits and delays its ``recv_frame`` calls; the server
-    must cap that connection's in-flight work at its advertised window.
-
-    Parameters
-    ----------
-    host, port:
-        Address of a running :class:`~repro.service.net.server.FitServer`.
-    timeout:
-        Socket timeout in seconds for reads during the handshake and
-        :meth:`recv_frame`.
-    """
-
-    def __init__(
-        self,
-        host: str = config.DEFAULT_NET_HOST,
-        port: int = config.DEFAULT_NET_PORT,
-        *,
-        timeout: float = 60.0,
-    ) -> None:
-        self.host = host
-        self.port = int(port)
-        self._sock = socket.create_connection((host, self.port), timeout=timeout)
-        self._send_lock = threading.Lock()
-        self.hello = self._handshake()
-
-    def _handshake(self) -> WireHello:
-        key = uuid.uuid4().hex
-        request = (
-            f"GET /v1/stream HTTP/1.1\r\n"
-            f"Host: {self.host}:{self.port}\r\n"
-            "Upgrade: websocket\r\n"
-            "Connection: Upgrade\r\n"
-            f"Sec-WebSocket-Key: {key}\r\n"
-            "Sec-WebSocket-Version: 13\r\n"
-            "\r\n"
-        )
-        self._sock.sendall(request.encode("latin-1"))
-        # Read the upgrade response head byte-by-byte up to the blank line;
-        # everything after it is WebSocket framing and must not be consumed.
-        head = bytearray()
-        while not head.endswith(b"\r\n\r\n"):
-            chunk = self._sock.recv(1)
-            if not chunk:
-                raise ConnectionError("server closed during WebSocket handshake")
-            head += chunk
-            if len(head) > 65536:
-                raise ProtocolError("oversized WebSocket handshake response")
-        status_line = bytes(head).split(b"\r\n", 1)[0].decode("latin-1")
-        if " 101 " not in f"{status_line} ":
-            raise ProtocolError(f"WebSocket upgrade refused: {status_line!r}")
-        hello = self.recv_frame()
-        if hello.kind != "hello":
-            raise ProtocolError(f"expected a hello frame, got {hello.kind!r}")
-        wire = WireHello.from_payload(hello.payload)
-        if PROTOCOL_VERSION not in wire.versions:
-            raise ProtocolError(
-                f"server speaks versions {wire.versions}, not {PROTOCOL_VERSION}"
-            )
-        return wire
-
-    def _recv_exactly(self, n: int) -> bytes:
-        buf = bytearray()
-        while len(buf) < n:
-            chunk = self._sock.recv(n - len(buf))
-            if not chunk:
-                raise ConnectionError("server closed the stream mid-frame")
-            buf += chunk
-        return bytes(buf)
-
-    # -- frame API ------------------------------------------------------
-
-    def send_frame(self, frame: Frame) -> None:
-        """Send one masked text frame (thread-safe)."""
-        data = ws.build_frame(ws.OP_TEXT, frame.encode().encode(), mask=True)
-        with self._send_lock:
-            self._sock.sendall(data)
-
-    def submit(self, wire: WireFit | dict, *, frame_id: str | None = None) -> str:
-        """Send one fit frame (``WireFit`` or dict payload); returns its id."""
-        wire = _coerce_wire_fit(wire)
-        frame_id = frame_id if frame_id is not None else uuid.uuid4().hex
-        self.send_frame(Frame("fit", wire.to_payload(), id=frame_id))
-        return frame_id
-
-    def recv_frame(self) -> Frame:
-        """Read the next data frame (transparently answering pings)."""
-        while True:
-            opcode, payload = ws.read_message_sync(self._recv_exactly)
-            if opcode == ws.OP_PING:
-                with self._send_lock:
-                    self._sock.sendall(ws.build_frame(ws.OP_PONG, payload, mask=True))
-                continue
-            if opcode == ws.OP_PONG:
-                continue
-            if opcode == ws.OP_CLOSE:
-                raise ConnectionError("server closed the stream")
-            return decode_frame(payload)
-
-    def collect(self, frame_ids: set[str] | list[str]) -> dict[str, WireResult | Exception]:
-        """Read frames until every id in ``frame_ids`` has a response.
-
-        Returns a mapping of correlation id to :class:`WireResult` or the
-        reconstructed typed exception; unsolicited frames are an error.
-        """
-        pending = set(frame_ids)
-        out: dict[str, WireResult | Exception] = {}
-        while pending:
-            frame = self.recv_frame()
-            if frame.id is None or frame.id not in pending:
-                raise ProtocolError(f"unexpected frame {frame.kind!r} id={frame.id!r}")
-            pending.discard(frame.id)
-            if frame.kind == "result":
-                out[frame.id] = WireResult.from_payload(frame.payload)
-            elif frame.kind == "error":
-                out[frame.id] = frame_to_error(WireError.from_payload(frame.payload))
-            else:
-                raise ProtocolError(f"streams answer result/error frames, got {frame.kind!r}")
-        return out
-
-    def close(self) -> None:
-        """Send a close frame (best effort) and drop the socket."""
-        try:
-            with self._send_lock:
-                self._sock.sendall(
-                    ws.build_frame(ws.OP_CLOSE, b"\x03\xe8", mask=True)  # 1000
-                )
-        except OSError:
-            pass
-        self._sock.close()
-
-    def __enter__(self) -> "StreamClient":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

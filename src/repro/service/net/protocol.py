@@ -2,11 +2,11 @@
 
 Everything that crosses a socket is a JSON *frame*: an envelope carrying the
 schema version (``v``), the frame ``kind``, an optional correlation ``id``
-(WebSocket streaming) and a typed ``payload``.  The payload types are plain
-dataclasses (:class:`WireFit`, :class:`WireResult`, :class:`WireError`,
-:class:`WireHello`) with explicit ``to_payload`` / ``from_payload``
-converters, so the schema is written down in exactly one place and both the
-server and the bundled client speak it through the same code.  The
+and a typed ``payload``.  The payload types are plain dataclasses
+(:class:`WireFit`, :class:`WireResult`, :class:`WireError`) with explicit
+``to_payload`` / ``from_payload`` converters, so the schema is written down
+in exactly one place and both the server and the bundled client speak it
+through the same code.  The
 converters name every key by hand rather than going through
 ``dataclasses.asdict``, whose recursive deep copy costs more than the rest
 of a request's encode on the HTTP path.
@@ -16,7 +16,7 @@ Design rules, each of which is property-tested:
 * **Version negotiation** — every frame carries ``v``; decoding a frame
   whose version is not in :data:`SUPPORTED_VERSIONS` raises
   :class:`VersionMismatch` (an error frame / HTTP 400 on the wire).  The
-  server's hello frame advertises the versions it speaks.
+  ``/healthz`` and ``/`` documents list the versions the server speaks.
 * **Unknown-field tolerance** — decoders ignore unrecognised keys at both
   the envelope and the payload level, so a newer client can add fields
   without breaking an older server (and vice versa).
@@ -61,7 +61,6 @@ __all__ = [
     "VersionMismatch",
     "WireError",
     "WireFit",
-    "WireHello",
     "WireResult",
     "decode_frame",
     "error_to_frame",
@@ -71,13 +70,13 @@ __all__ = [
 #: Wire schema version this build speaks natively.
 PROTOCOL_VERSION = 1
 
-#: Schema versions the decoder accepts (negotiated via the hello frame).
+#: Schema versions the decoder accepts.
 SUPPORTED_VERSIONS: frozenset[int] = frozenset({1})
 
 #: Frame kinds defined by schema v1.  Unknown kinds are rejected (unlike
 #: unknown *fields*, which are tolerated): a kind names behaviour, not data.
 FRAME_KINDS: frozenset[str] = frozenset(
-    {"hello", "fit", "batch_fit", "result", "batch_result", "error"}
+    {"fit", "batch_fit", "result", "batch_result", "error"}
 )
 
 
@@ -420,42 +419,6 @@ class WireResult:
     def coefficients_array(self) -> np.ndarray:
         """The coefficients as a float array (client-side convenience)."""
         return np.asarray(self.coefficients, dtype=float)
-
-
-@dataclass
-class WireHello:
-    """Version-negotiation handshake frame (first frame on a stream)."""
-
-    versions: list[int] = field(default_factory=lambda: sorted(SUPPORTED_VERSIONS))
-    server: str = "repro-fit-service"
-    max_inflight: int = 0
-
-    def to_payload(self) -> dict:
-        """Plain JSON-serialisable dict of this hello."""
-        return {
-            "versions": list(self.versions),
-            "server": self.server,
-            "max_inflight": self.max_inflight,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "WireHello":
-        """Decode a payload dict, tolerating unknown fields."""
-        if not isinstance(payload, dict):
-            raise ProtocolError("hello payload must be a JSON object")
-        versions = payload.get("versions", sorted(SUPPORTED_VERSIONS))
-        if not isinstance(versions, (list, tuple)) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in versions
-        ):
-            raise ProtocolError("versions must be an array of integers")
-        server = payload.get("server", "")
-        if not isinstance(server, str):
-            raise ProtocolError("server must be a string")
-        return cls(
-            versions=list(versions),
-            server=server,
-            max_inflight=int(payload.get("max_inflight", 0)),
-        )
 
 
 @dataclass

@@ -1,9 +1,8 @@
-"""Asyncio HTTP + WebSocket front end over the micro-batching scheduler.
+"""Asyncio HTTP front end over the micro-batching scheduler.
 
 :class:`FitServer` is the network edge of the fit service: a dependency-free
-``asyncio`` server speaking HTTP/1.1 (keep-alive) for request/response
-traffic and RFC 6455 WebSockets for streaming, with the versioned JSON
-frame protocol of :mod:`repro.service.net.protocol` on both.
+``asyncio`` server speaking HTTP/1.1 (keep-alive), with the versioned JSON
+frame protocol of :mod:`repro.service.net.protocol` in the bodies.
 
 Routes (schema v1):
 
@@ -13,30 +12,24 @@ Routes (schema v1):
   with one result-or-error item per request (a malformed entry gets its own
   400 item, and intake overflow splits the batch per the accepted/rejected
   contract instead of failing it).
-* ``GET /v1/stream`` — WebSocket upgrade; fit frames with correlation ids
-  stream in, result/error frames stream out as solves finish.
-* ``GET /healthz``, ``GET /metrics``, ``GET /pool``, ``GET /backends`` —
-  the ops surface (liveness, live ``Telemetry.snapshot()``, pool/session
-  stats, active and requested kernel backend).
+* ``GET /healthz``, ``GET /metrics``, ``GET /pool`` — the ops surface
+  (liveness, live ``Telemetry.snapshot()``, pool/session stats).
 
-Two properties are load-bearing and regression-tested:
+A malformed request head (request line, an over-long line, too many
+headers, a ``Content-Length`` that is not a non-negative integer) is
+answered 400, a body above ``max_message_bytes`` 413, and the connection
+closed.
 
-* **Thread bridge** — the scheduler's futures are thread-backed.  A fit
-  is submitted straight from the event loop with ``timeout=0``, which
-  never blocks: validation, the cache lookup and the enqueue run inline,
-  with no thread handoff.  Only when that raises :class:`queue.Full`
-  (intake full, or a bulk producer holding the accept lock) does the
-  submit move to a small executor and ride the backpressure there for up
-  to ``submit_timeout_s``, so the loop keeps serving other connections.
-  Batch submits always take the executor.  Futures are awaited via
-  ``asyncio.wrap_future``; responses stay bit-identical to in-process
-  ``scheduler.submit`` calls.
-* **Slow-consumer backpressure** — each stream connection has a bounded
-  in-flight window (semaphore) released only after its response bytes are
-  written *and drained*.  A stalled reader therefore stops its own
-  intake at ``max_inflight`` outstanding fits — server memory stays
-  bounded and other connections keep their own pace — instead of growing
-  an unbounded output buffer.
+The thread bridge is load-bearing and regression-tested.  The scheduler's
+futures are thread-backed.  A fit is submitted straight from the event loop
+with ``timeout=0``, which never blocks: validation, the cache lookup and the
+enqueue run inline, with no thread handoff.  Only when that raises
+:class:`queue.Full` (intake full, or a bulk producer holding the accept
+lock) does the submit move to a small executor and ride the backpressure
+there for up to ``submit_timeout_s``, so the loop keeps serving other
+connections.  Batch submits always take the executor.  Futures are awaited
+via ``asyncio.wrap_future``; responses stay bit-identical to in-process
+``scheduler.submit`` calls.
 """
 
 from __future__ import annotations
@@ -47,16 +40,12 @@ import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro import backends, config
-from repro.service.net import ws
+from repro import config
 from repro.service.net.protocol import (
-    PROTOCOL_VERSION,
     SUPPORTED_VERSIONS,
     Frame,
     ProtocolError,
-    VersionMismatch,
     WireFit,
-    WireHello,
     WireResult,
     decode_frame,
     error_to_frame,
@@ -68,7 +57,6 @@ __all__ = ["FitServer", "ServerHandle", "serve_in_thread"]
 #: Reason strings for the handful of HTTP statuses the edge answers with.
 _REASONS = {
     200: "OK",
-    101: "Switching Protocols",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
@@ -79,51 +67,13 @@ _REASONS = {
     504: "Gateway Timeout",
 }
 
-#: Per-route telemetry counter names (``net_route_<name>``).
-_ROUTES = ("fit", "batch_fit", "stream", "healthz", "metrics", "pool", "backends", "index")
 
+class _RefusedHead(ProtocolError):
+    """A request head the edge will not serve; answered, then closed."""
 
-class _StreamState:
-    """Book-keeping of one WebSocket stream connection.
-
-    Tracks the in-flight window occupancy and its peak so the backpressure
-    invariant (``peak_inflight <= window``) is observable from tests and
-    the ops surface without racing the event loop.
-    """
-
-    def __init__(self, window: int) -> None:
-        self.window = window
-        self.received = 0
-        self.resolved = 0
-        self.errors = 0
-        self.inflight = 0
-        self.peak_inflight = 0
-        self.peak_outbox = 0
-
-    def on_submit(self) -> None:
-        """Count one accepted frame entering the in-flight window."""
-        self.received += 1
-        self.inflight += 1
-        self.peak_inflight = max(self.peak_inflight, self.inflight)
-
-    def on_delivered(self, *, error: bool) -> None:
-        """Count one frame leaving the window after its reply was written."""
-        self.inflight -= 1
-        self.resolved += 1
-        if error:
-            self.errors += 1
-
-    def stats(self) -> dict:
-        """Return a snapshot of the stream's window/outbox counters."""
-        return {
-            "window": self.window,
-            "received": self.received,
-            "resolved": self.resolved,
-            "errors": self.errors,
-            "inflight": self.inflight,
-            "peak_inflight": self.peak_inflight,
-            "peak_outbox": self.peak_outbox,
-        }
+    def __init__(self, message: str, http_status: int) -> None:
+        super().__init__(message)
+        self.http_status = http_status
 
 
 class FitServer:
@@ -137,16 +87,13 @@ class FitServer:
     host, port:
         Bind address; ``port=0`` picks an ephemeral port (read it back from
         :attr:`port` after :meth:`start`).
-    max_inflight:
-        Per-connection in-flight window of the streaming route — the
-        slow-consumer backpressure bound.
     submit_timeout_s:
         How long HTTP submits ride scheduler intake backpressure before
         answering 429.
     max_message_bytes:
-        Ceiling on one HTTP body / WebSocket message.
+        Ceiling on one HTTP request body.
     write_buffer_high:
-        Transport high-water mark; stream writers ``drain()`` against it so
+        Transport high-water mark; response writes ``drain()`` against it so
         OS-level buffering stays bounded per connection.
     """
 
@@ -156,18 +103,14 @@ class FitServer:
         *,
         host: str = config.DEFAULT_NET_HOST,
         port: int = config.DEFAULT_NET_PORT,
-        max_inflight: int = config.DEFAULT_STREAM_WINDOW,
         submit_timeout_s: float = config.DEFAULT_SUBMIT_TIMEOUT_S,
         max_message_bytes: int = config.DEFAULT_MAX_MESSAGE_BYTES,
         write_buffer_high: int = 64 * 1024,
     ) -> None:
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be at least 1")
         self.scheduler = scheduler
         self.telemetry = scheduler.telemetry
         self.host = host
         self.port = int(port)
-        self.max_inflight = int(max_inflight)
         self.submit_timeout_s = float(submit_timeout_s)
         self.max_message_bytes = int(max_message_bytes)
         self.write_buffer_high = int(write_buffer_high)
@@ -175,10 +118,6 @@ class FitServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._conn_tasks: set[asyncio.Task] = set()
         self._writers: set[asyncio.StreamWriter] = set()
-        self._streams: dict[int, _StreamState] = {}
-        self._stream_ids = 0
-        self._peak_stream_inflight = 0
-        self._lock = threading.Lock()
         # Submits that would block on scheduler intake backpressure (and
         # every batch submit) run here, off the event loop.  Two threads
         # suffice: the queue behind them preserves arrival order under
@@ -219,17 +158,8 @@ class FitServer:
         self._submit_executor.shutdown(wait=True)
 
     def stats(self) -> dict:
-        """Connection/stream gauges and per-stream window book-keeping."""
-        with self._lock:
-            streams = {key: state.stats() for key, state in self._streams.items()}
-        return {
-            "host": self.host,
-            "port": self.port,
-            "max_inflight": self.max_inflight,
-            "connections": len(self._writers),
-            "streams": streams,
-            "peak_stream_inflight": self._peak_stream_inflight,
-        }
+        """Bind address and the number of open connections."""
+        return {"host": self.host, "port": self.port, "connections": len(self._writers)}
 
     # ------------------------------------------------------------------
     # Scheduler bridge
@@ -252,22 +182,6 @@ class FitServer:
             )
         return await asyncio.wrap_future(future)
 
-    async def _solve_frame(self, frame_id: str | None, wire: WireFit) -> Frame:
-        """One fit in, one result-or-error frame out (never raises)."""
-        try:
-            result = await self._submit(wire)
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
-            self.telemetry.increment("net_errors")
-            return Frame(
-                "error", error_to_frame(exc, tag=wire.tag).to_payload(), id=frame_id
-            )
-        payload = WireResult.from_result(
-            result, tag=wire.tag, include_diagnostics=wire.include_diagnostics
-        ).to_payload()
-        return Frame("result", payload, id=frame_id)
-
     # ------------------------------------------------------------------
     # HTTP layer
     # ------------------------------------------------------------------
@@ -287,7 +201,6 @@ class FitServer:
             asyncio.LimitOverrunError,
             ConnectionError,
             TimeoutError,
-            ws.WebSocketProtocolError,
         ):
             pass  # peer went away or spoke garbage; nothing to answer
         except asyncio.CancelledError:
@@ -306,18 +219,20 @@ class FitServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         while True:
-            request = await self._read_http_request(reader)
+            try:
+                request = await self._read_http_request(reader)
+            except _RefusedHead as exc:
+                self.telemetry.increment("net_http_requests")
+                self.telemetry.increment("net_http_errors")
+                payload = self._error_payload(exc, exc.http_status)
+                await self._write_http_response(
+                    writer, exc.http_status, payload, keep_alive=False
+                )
+                return
             if request is None:
                 return
             method, target, headers, body = request
             self.telemetry.increment("net_http_requests")
-            if (
-                target == "/v1/stream"
-                and headers.get("upgrade", "").lower() == "websocket"
-            ):
-                self.telemetry.increment("net_route_stream")
-                await self._handle_stream(reader, writer, headers)
-                return
             status, payload = await self._dispatch(method, target, body)
             if status >= 400:
                 self.telemetry.increment("net_http_errors")
@@ -329,31 +244,46 @@ class FitServer:
     async def _read_http_request(
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, dict, bytes] | None:
+        """Read one request; ``None`` when the peer closed before a request line.
+
+        Raises :class:`_RefusedHead` for a head the edge will not serve: 400
+        for a malformed request line, a head line longer than the stream
+        limit, more than 256 header lines or a ``Content-Length`` that is not
+        a non-negative integer, and 413 for a body above
+        ``max_message_bytes``.
+        """
         try:
             line = await reader.readline()
-        except ValueError:  # line longer than the stream limit
-            return None
-        if not line:
-            return None
-        try:
-            method, target, _version = line.decode("latin-1").split(None, 2)
-        except ValueError:
-            return None
-        headers: dict[str, str] = {}
-        for _ in range(256):
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _sep, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        else:
-            return None
+            if not line:
+                return None
+            parts = line.decode("latin-1").split(None, 2)
+            if len(parts) != 3:
+                raise _RefusedHead(f"malformed request line {line[:80]!r}", 400)
+            method, target, _version = parts
+            headers: dict[str, str] = {}
+            for _ in range(256):
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _sep, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+            else:
+                raise _RefusedHead("more than 256 header lines", 400)
+        except ValueError:  # StreamReader.readline past the stream limit
+            raise _RefusedHead("request head line longer than the stream limit", 400) from None
         body = b""
         length = headers.get("content-length")
         if length is not None:
+            if not (length.isascii() and length.isdigit()):
+                raise _RefusedHead(
+                    f"Content-Length must be a non-negative integer, got {length!r}", 400
+                )
             length = int(length)
             if length > self.max_message_bytes:
-                return None
+                raise _RefusedHead(
+                    f"a {length}-byte body exceeds the {self.max_message_bytes}-byte limit",
+                    413,
+                )
             body = await reader.readexactly(length)
         return method.upper(), target, headers, body
 
@@ -403,14 +333,6 @@ class FitServer:
                 stats = self.scheduler.stats()
                 stats.pop("telemetry", None)
                 return 200, json.dumps(stats, default=repr)
-            if target == "/backends":
-                self.telemetry.increment("net_route_backends")
-                return 200, json.dumps(
-                    {
-                        "active": backends.active_backend().name,
-                        "requested": backends.requested_backend(),
-                    }
-                )
             if target == "/":
                 self.telemetry.increment("net_route_index")
                 return 200, json.dumps(
@@ -420,11 +342,9 @@ class FitServer:
                         "routes": [
                             "POST /v1/fit",
                             "POST /v1/fit/batch",
-                            "GET /v1/stream (websocket)",
                             "GET /healthz",
                             "GET /metrics",
                             "GET /pool",
-                            "GET /backends",
                         ],
                     }
                 )
@@ -450,10 +370,18 @@ class FitServer:
         if frame.kind != "fit":
             raise ProtocolError(f"expected a fit frame, got {frame.kind!r}")
         wire = WireFit.from_payload(frame.payload)
-        response = await self._solve_frame(frame.id, wire)
-        if response.kind == "error":
-            return int(response.payload.get("http_status", 500)), response.encode()
-        return 200, response.encode()
+        try:
+            result = await self._submit(wire)
+        except asyncio.CancelledError:
+            raise
+        except BaseException as exc:
+            self.telemetry.increment("net_errors")
+            error = error_to_frame(exc, tag=wire.tag)
+            return error.http_status, Frame("error", error.to_payload(), id=frame.id).encode()
+        payload = WireResult.from_result(
+            result, tag=wire.tag, include_diagnostics=wire.include_diagnostics
+        ).to_payload()
+        return 200, Frame("result", payload, id=frame.id).encode()
 
     async def _handle_batch(self, body: bytes) -> tuple[int, str]:
         frame = decode_frame(body)
@@ -531,183 +459,6 @@ class FitServer:
             "protocol_versions": sorted(SUPPORTED_VERSIONS),
         }
         return (200 if healthy else 503), json.dumps(payload)
-
-    # ------------------------------------------------------------------
-    # WebSocket streaming layer
-    # ------------------------------------------------------------------
-
-    async def _handle_stream(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, headers: dict
-    ) -> None:
-        key = headers.get("sec-websocket-key")
-        if not key:
-            await self._write_http_response(
-                writer,
-                400,
-                self._error_payload(ProtocolError("missing Sec-WebSocket-Key")),
-                keep_alive=False,
-            )
-            return
-        writer.write(
-            (
-                "HTTP/1.1 101 Switching Protocols\r\n"
-                "Upgrade: websocket\r\n"
-                "Connection: Upgrade\r\n"
-                f"Sec-WebSocket-Accept: {ws.accept_key(key)}\r\n"
-                "\r\n"
-            ).encode("latin-1")
-        )
-        await writer.drain()
-        state = _StreamState(self.max_inflight)
-        with self._lock:
-            self._stream_ids += 1
-            stream_id = self._stream_ids
-            self._streams[stream_id] = state
-        window = asyncio.Semaphore(self.max_inflight)
-        # The outbox is bounded by the window: a frame enters only after a
-        # window slot was taken, so qsize can never exceed max_inflight (+
-        # control frames, which are never window-gated but are tiny).
-        outbox: asyncio.Queue = asyncio.Queue()
-        tasks: set[asyncio.Task] = set()
-        writer_task = asyncio.create_task(
-            self._stream_writer(writer, outbox, window, state)
-        )
-        try:
-            await outbox.put((ws.OP_TEXT, self._hello_frame().encode().encode(), None))
-            await self._stream_reader_loop(reader, outbox, window, state, tasks)
-        finally:
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            # Flush frames already queued (error frames, the close echo)
-            # before tearing the writer down: a peer that spoke a bad
-            # version must still receive the typed error it was sent.
-            await outbox.put((None, b"", None))
-            try:
-                await asyncio.wait_for(asyncio.shield(writer_task), timeout=5.0)
-            except BaseException:  # timeout, dead peer, or our own cancel
-                writer_task.cancel()
-                await asyncio.gather(writer_task, return_exceptions=True)
-            # Solves cancelled (or responses never drained) still hold
-            # in-flight accounting; settle the gauge for this connection.
-            if state.inflight:
-                self.telemetry.adjust_gauge("net_ws_inflight", -state.inflight)
-            with self._lock:
-                self._peak_stream_inflight = max(
-                    self._peak_stream_inflight, state.peak_inflight
-                )
-                self._streams.pop(stream_id, None)
-
-    def _hello_frame(self) -> Frame:
-        return Frame(
-            "hello",
-            WireHello(max_inflight=self.max_inflight).to_payload(),
-            version=PROTOCOL_VERSION,
-        )
-
-    async def _stream_reader_loop(
-        self,
-        reader: asyncio.StreamReader,
-        outbox: asyncio.Queue,
-        window: asyncio.Semaphore,
-        state: _StreamState,
-        tasks: set[asyncio.Task],
-    ) -> None:
-        while True:
-            opcode, payload = await ws.read_message(
-                reader.readexactly, require_masked=True, max_size=self.max_message_bytes
-            )
-            if opcode == ws.OP_CLOSE:
-                await outbox.put((ws.OP_CLOSE, payload[:2], None))
-                return
-            if opcode == ws.OP_PING:
-                await outbox.put((ws.OP_PONG, payload, None))
-                continue
-            if opcode == ws.OP_PONG:
-                continue
-            self.telemetry.increment("net_ws_messages")
-            try:
-                frame = decode_frame(payload)
-            except VersionMismatch as exc:
-                await self._stream_error(outbox, None, exc, state)
-                await outbox.put((ws.OP_CLOSE, b"\x03\xea", None))  # 1002
-                return
-            except ProtocolError as exc:
-                await self._stream_error(outbox, None, exc, state)
-                continue
-            if frame.kind == "hello":
-                # Client-side negotiation: decode validated the version.
-                continue
-            if frame.kind != "fit":
-                await self._stream_error(
-                    outbox,
-                    frame.id,
-                    ProtocolError(f"streams accept fit frames, got {frame.kind!r}"),
-                    state,
-                )
-                continue
-            try:
-                wire = WireFit.from_payload(frame.payload)
-            except ProtocolError as exc:
-                await self._stream_error(outbox, frame.id, exc, state)
-                continue
-            # Backpressure point: no new solve starts while the window is
-            # exhausted, and the window only refills as responses DRAIN to
-            # the peer.  A stalled consumer stops being read right here.
-            await window.acquire()
-            state.on_submit()
-            self.telemetry.adjust_gauge("net_ws_inflight", 1)
-            task = asyncio.create_task(
-                self._stream_solve(frame.id, wire, outbox, state)
-            )
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
-
-    async def _stream_error(
-        self,
-        outbox: asyncio.Queue,
-        frame_id: str | None,
-        exc: Exception,
-        state: _StreamState,
-    ) -> None:
-        state.errors += 1
-        self.telemetry.increment("net_errors")
-        encoded = Frame("error", error_to_frame(exc).to_payload(), id=frame_id).encode()
-        await outbox.put((ws.OP_TEXT, encoded.encode(), None))
-
-    async def _stream_solve(
-        self, frame_id: str | None, wire: WireFit, outbox: asyncio.Queue, state: _StreamState
-    ) -> None:
-        response = await self._solve_frame(frame_id, wire)
-        state.peak_outbox = max(state.peak_outbox, outbox.qsize() + 1)
-        await outbox.put((ws.OP_TEXT, response.encode().encode(), response.kind == "error"))
-
-    async def _stream_writer(
-        self,
-        writer: asyncio.StreamWriter,
-        outbox: asyncio.Queue,
-        window: asyncio.Semaphore,
-        state: _StreamState,
-    ) -> None:
-        while True:
-            opcode, payload, is_error = await outbox.get()
-            if opcode is None:  # teardown sentinel: the outbox is flushed
-                return
-            writer.write(ws.build_frame(opcode, payload))
-            try:
-                await writer.drain()
-            finally:
-                if is_error is not None:  # a window-gated result/error frame
-                    # Only after the response bytes drained does the window
-                    # refill — the slow-consumer backpressure contract.
-                    state.on_delivered(error=is_error)
-                    self.telemetry.adjust_gauge("net_ws_inflight", -1)
-                    self.telemetry.increment("net_ws_results")
-                    window.release()
-            if opcode == ws.OP_CLOSE:
-                return
-
 
 # ----------------------------------------------------------------------
 # Thread-hosted server (CLI and tests)

@@ -141,6 +141,16 @@ class CircuitBreaker:
             self._failures = 0
             self._state = "closed"
 
+    def release_probe(self) -> None:
+        """A fast-path call ended in a client fault: count nothing.
+
+        A half-open probe that ends this way has shown nothing about the
+        shard, so the breaker returns to open and the next call probes again.
+        """
+        with self._lock:
+            if self._state == "half-open":
+                self._state = "open"
+
     def record_failure(self) -> bool:
         """A fast-path call failed; returns ``True`` when this call trips.
 

@@ -33,7 +33,9 @@ The scheduler is SLO-aware and failure-contained:
   :class:`~repro.service.robustness.RetryPolicy`; repeated failures trip a
   per-shard :class:`~repro.service.robustness.CircuitBreaker` that routes
   traffic to a *degraded* serial path (one plain ``fit`` per request —
-  bit-exact, just slower) until a half-open probe heals the fast path.
+  bit-exact, just slower) until a half-open probe heals the fast path.  A
+  client fault (:class:`~repro.utils.validation.InvalidRequest`) fails its
+  own requests and never counts against the breaker.
 * A supervisor guarantees that no future ever hangs: if a shard runner's
   loop fails outside a batch, every queued future on every shard fails with
   :class:`~repro.service.errors.SchedulerCrashed` and later submits raise
@@ -88,7 +90,7 @@ from repro.service.pool import SessionPool
 from repro.service.robustness import CircuitBreaker, RetryPolicy
 from repro.service.telemetry import Telemetry
 from repro.utils.rng import SeedLike
-from repro.utils.validation import check_lambda_grid
+from repro.utils.validation import InvalidRequest, check_lambda_grid
 
 __all__ = ["DEFAULT_CONFIG_KEY", "FitRequest", "MicroBatchScheduler"]
 
@@ -113,7 +115,7 @@ class FitRequest:
       :class:`~repro.service.errors.DeadlineExceeded` if it ages out before
       its solve starts.  ``None`` means no deadline (never shed, never
       dropped); a negative or non-finite value fails admission with
-      ``ValueError``.
+      :class:`~repro.utils.validation.InvalidRequest` (a ``ValueError``).
 
     Both hints steer *scheduling only*: they are excluded from
     :meth:`batch_key` and :meth:`fingerprint`, so mixed-priority traffic
@@ -245,7 +247,7 @@ class _Admission:
 
     def reject(self, position: int, message: str) -> None:
         self.invalid += 1
-        self.futures[position].set_exception(ValueError(message))
+        self.futures[position].set_exception(InvalidRequest(message))
 
 
 def _grid_error(times: np.ndarray, sigma) -> str | None:
@@ -643,7 +645,8 @@ class MicroBatchScheduler:
         way: a malformed request (non-finite or mis-shaped measurements, a
         ``sigma`` that is not finite and positive or does not fit ``times``,
         a negative or non-finite ``lam`` or ``deadline_ms``) fails its own
-        future with ``ValueError`` and is never queued.  Cache hits resolve
+        future with :class:`~repro.utils.validation.InvalidRequest` (a
+        ``ValueError``) and is never queued.  Cache hits resolve
         immediately without entering the queue.  A request with a
         ``deadline_ms`` the service cannot meet is shed up front: its future
         fails with :class:`~repro.service.errors.RequestShed` and nothing is
@@ -912,6 +915,9 @@ class MicroBatchScheduler:
             try:
                 entry = self.pool.acquire(shard)
                 return entry
+            except InvalidRequest:
+                breaker.release_probe()
+                raise
             except Exception as exc:
                 if breaker.record_failure():
                     self.telemetry.increment("breaker_trips")
@@ -996,6 +1002,11 @@ class MicroBatchScheduler:
                 self._observe_solve(time.perf_counter() - start, len(to_solve))
                 breaker.record_success()
                 return results
+            except InvalidRequest:
+                # The client's fault (e.g. a time grid past the population
+                # cap): it says nothing about the shard's health.
+                breaker.release_probe()
+                raise
             except Exception as exc:
                 if breaker.record_failure():
                     self.telemetry.increment("breaker_trips")

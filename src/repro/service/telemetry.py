@@ -114,9 +114,9 @@ class Telemetry:
       included), ``batch_size``, ``solve_seconds`` (per-batch solve
       duration);
     * network-edge counters/gauges — per-route counters
-      (``net_route_<name>``), ``net_http_requests`` / ``net_ws_messages``,
-      and the point-in-time gauges ``net_connections`` /
-      ``net_ws_inflight`` written by :class:`repro.service.net.FitServer`.
+      (``net_route_<name>``), ``net_http_requests`` / ``net_http_errors`` /
+      ``net_errors``, and the point-in-time gauge ``net_connections``
+      written by :class:`repro.service.net.FitServer`.
     """
 
     def __init__(self) -> None:
@@ -151,9 +151,9 @@ class Telemetry:
     def set_gauge(self, name: str, value: float) -> None:
         """Set the point-in-time gauge ``name`` to ``value``.
 
-        Gauges model *current* levels (open connections, in-flight stream
-        requests) rather than monotonically growing counts; the network
-        edge writes them and :meth:`snapshot` reports the latest values.
+        Gauges model *current* levels (open connections) rather than
+        monotonically growing counts; the network edge writes them and
+        :meth:`snapshot` reports the latest values.
         """
         with self._lock:
             self._gauges[name] = float(value)

@@ -12,6 +12,16 @@ from typing import Sequence
 import numpy as np
 
 
+class InvalidRequest(ValueError):
+    """A request that can never succeed as posed: the caller's fault.
+
+    Raised where a fit's inputs are rejected (service admission, the
+    population cap).  The service answers it without counting it against a
+    shard's circuit breaker, and the network edge maps it to HTTP 400 like
+    any ``ValueError``.
+    """
+
+
 def check_positive(value: float, name: str, *, strict: bool = True) -> float:
     """Validate that ``value`` is a positive (or non-negative) finite scalar.
 

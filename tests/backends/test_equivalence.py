@@ -1,20 +1,9 @@
-"""Machine-precision equivalence of every ported kernel across backends.
+"""The numpy kernels of ``repro.backends`` against naive references.
 
-Each hot-path kernel of the ``repro.backends`` function table is checked two
-ways:
-
-* the **numpy reference backend** against an independent straightforward
-  implementation written here (``np.where`` volume evaluation, per-row
-  ``np.convolve`` smoothing, ``searchsorted`` binning, plain loops) — so the
-  reference cannot silently drift from its documented semantics;
-* the **numba backend** against the numpy reference to the ``<= 1e-12``
-  contract (exact for integer outputs).  The ``compiled`` fixture compiles
-  the kernels when numba is installed and otherwise runs the same loop
-  bodies as plain Python, so the check never skips.
-
-End-to-end cross-backend checks cover the kernel build, constraint assembly
-and the stacked QP batch solve, with the active function table pinned to
-each backend in turn.
+Each hot-path kernel is checked against an independent straightforward
+implementation written here (``np.where`` volume evaluation, per-row
+``np.convolve`` smoothing, ``searchsorted`` binning, plain loops), so the
+kernels cannot silently drift from their documented semantics.
 """
 
 from __future__ import annotations
@@ -23,18 +12,14 @@ import numpy as np
 import pytest
 
 from repro import backends
-from repro.backends import numpy_backend
 
 TOL = 1e-12
 
 
-@pytest.fixture()
-def pin_table(monkeypatch):
-    """Pin the active kernel-backend table for the rest of one test."""
-    def pin(module):
-        monkeypatch.setattr(backends, "_active", module)
-
-    return pin
+@pytest.fixture(scope="module")
+def reference():
+    """The kernel module under test."""
+    return backends
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +70,7 @@ def binning_inputs(seed, num_values=2048, num_bins=40):
 
 
 # ---------------------------------------------------------------------------
-# numpy reference backend vs the naive implementations.
+# The kernels vs the naive implementations.
 # ---------------------------------------------------------------------------
 
 
@@ -170,201 +155,51 @@ class TestNumpyReferenceSemantics:
         ])
         np.testing.assert_allclose(result, expected, rtol=TOL, atol=TOL)
 
-
-# ---------------------------------------------------------------------------
-# numba backend vs the numpy reference.
-# ---------------------------------------------------------------------------
-
-
-class TestCompiledMatchesReference:
-    @pytest.mark.parametrize("transition_range", [(0.05, 0.4), (0.7, 0.95)])
-    def test_smooth_volume(self, reference, compiled, transition_range):
-        inputs = volume_inputs(21, transition_range=transition_range)
-        expected = reference.smooth_volume_into(
-            *inputs, 1.7, np.empty_like(inputs[0])
-        )
-        result = compiled.smooth_volume_into(*inputs, 1.7, np.empty_like(inputs[0]))
+    @pytest.mark.parametrize(
+        "transition_range", [(1.5, 2.0), (0.0, 0.0)], ids=["all-early", "all-late"]
+    )
+    def test_smooth_volume_single_piece_inputs(self, reference, transition_range):
+        """No minority piece to patch: the fill pass alone is the answer."""
+        inputs = volume_inputs(19, transition_range=transition_range)
+        out = np.empty_like(inputs[0])
+        result = reference.smooth_volume_into(*inputs, 0.9, out)
+        expected = volume_where_reference(*inputs, 0.9)
         np.testing.assert_allclose(result, expected, rtol=0, atol=TOL)
 
-    def test_uniform_bin_indices(self, reference, compiled):
-        values, edges = binning_inputs(23)
-        np.testing.assert_array_equal(
-            compiled.uniform_bin_indices(values, edges),
-            reference.uniform_bin_indices(values, edges),
+    @pytest.mark.parametrize("verdict", [True, False], ids=["all-accepted", "none-accepted"])
+    def test_partition_accepted_uniform_verdicts(self, reference, verdict):
+        solutions = np.zeros((6, 3))
+        rows = np.array([4, 1, 3])
+        candidates = np.arange(9.0).reshape(3, 3) + 1.0
+        accepted = np.full(3, verdict)
+        accepted_rows, pending_rows = reference.partition_accepted(
+            solutions, rows, candidates, accepted
         )
+        if verdict:
+            np.testing.assert_array_equal(accepted_rows, rows)
+            assert pending_rows.size == 0
+            np.testing.assert_array_equal(solutions[rows], candidates)
+        else:
+            assert accepted_rows.size == 0
+            np.testing.assert_array_equal(pending_rows, rows)
+            np.testing.assert_array_equal(solutions, 0.0)
 
-    def test_weighted_bincount(self, reference, compiled):
-        gen = np.random.default_rng(25)
-        keys = gen.integers(0, 37, 1000)
-        weights = gen.normal(size=1000)
-        np.testing.assert_allclose(
-            compiled.weighted_bincount(keys, weights, 50),
-            reference.weighted_bincount(keys, weights, 50),
-            rtol=0, atol=TOL,
+    def test_weighted_bincount_of_no_keys_is_zero_buckets(self, reference):
+        result = reference.weighted_bincount(
+            np.zeros(0, dtype=np.intp), np.zeros(0), 12
         )
+        np.testing.assert_array_equal(result, np.zeros(12))
 
-    def test_smooth_rows(self, reference, compiled):
-        gen = np.random.default_rng(27)
-        rows = gen.random((6, 33)) + 0.01
-        rows[2] = 0.0
-        widths = np.full(33, 1.0 / 33)
-        np.testing.assert_allclose(
-            compiled.smooth_rows(rows, widths, 5),
-            reference.smooth_rows(rows, widths, 5),
-            rtol=0, atol=TOL,
-        )
-
-    def test_weighted_dot(self, reference, compiled):
-        gen = np.random.default_rng(29)
-        weights = gen.random(101)
-        density = gen.random(101)
-        density[::5] = 0.0
-        matrix = gen.normal(size=(101, 14))
-        np.testing.assert_allclose(
-            compiled.weighted_dot(weights, density, matrix),
-            reference.weighted_dot(weights, density, matrix),
-            rtol=TOL, atol=TOL,
-        )
-
-    def test_partition_accepted(self, reference, compiled):
-        gen = np.random.default_rng(31)
-        rows = np.array([4, 1, 6, 0, 3, 8])
-        candidates = gen.normal(size=(6, 5))
-        accepted = np.array([True, False, True, False, True, True])
-        ref_solutions = np.zeros((9, 5))
-        cmp_solutions = np.zeros((9, 5))
-        ref_acc, ref_pend = reference.partition_accepted(
-            ref_solutions, rows, candidates, accepted
-        )
-        cmp_acc, cmp_pend = compiled.partition_accepted(
-            cmp_solutions, rows, candidates, accepted
-        )
-        np.testing.assert_array_equal(cmp_acc, ref_acc)
-        np.testing.assert_array_equal(cmp_pend, ref_pend)
-        np.testing.assert_array_equal(cmp_solutions, ref_solutions)
-
-    def test_batch_objectives(self, reference, compiled):
-        gen = np.random.default_rng(33)
-        factor = gen.normal(size=(12, 9))
-        hessian = factor.T @ factor + np.eye(9)
-        solutions = gen.normal(size=(7, 9))
-        gradients = gen.normal(size=(7, 9))
-        np.testing.assert_allclose(
-            compiled.batch_objectives(solutions, hessian, gradients),
-            reference.batch_objectives(solutions, hessian, gradients),
-            rtol=TOL, atol=TOL,
-        )
+    def test_smooth_rows_window_one_only_renormalises(self, reference):
+        gen = np.random.default_rng(23)
+        rows = gen.random((4, 17)) + 0.01
+        widths = np.full(17, 0.5)
+        result = reference.smooth_rows(rows, widths, 1)
+        expected = rows / (rows @ widths)[:, None]
+        np.testing.assert_allclose(result, expected, rtol=0, atol=TOL)
 
 
-# ---------------------------------------------------------------------------
-# End-to-end cross-backend equivalence through the public entry points.
-# ---------------------------------------------------------------------------
-
-
-class TestEndToEnd:
-    def _build(self, paper_parameters, measurement_times):
-        from repro.cellcycle.kernel import KernelBuilder
-
-        return KernelBuilder(
-            paper_parameters, num_cells=1500, phase_bins=40
-        ).build(measurement_times, rng=3)
-
-    def test_kernel_builder_explicit_numpy_is_byte_identical(
-        self, paper_parameters, measurement_times, pin_table
-    ):
-        default = self._build(paper_parameters, measurement_times)
-        pin_table(numpy_backend)
-        explicit = self._build(paper_parameters, measurement_times)
-        np.testing.assert_array_equal(explicit.density, default.density)
-
-    def test_kernel_builder_compiled_matches_reference(
-        self, paper_parameters, measurement_times, compiled, pin_table
-    ):
-        pin_table(numpy_backend)
-        reference_kernel = self._build(paper_parameters, measurement_times)
-        pin_table(compiled)
-        compiled_kernel = self._build(paper_parameters, measurement_times)
-        np.testing.assert_allclose(
-            compiled_kernel.density, reference_kernel.density, rtol=0, atol=TOL
-        )
-
-    def test_constraint_assembly_explicit_numpy_is_identical(
-        self, basis12, paper_parameters, pin_table
-    ):
-        from repro.core.constraints import build_constraint_set, default_constraints
-
-        default = build_constraint_set(
-            default_constraints(), basis12, paper_parameters
-        )
-        pin_table(numpy_backend)
-        explicit = build_constraint_set(
-            default_constraints(), basis12, paper_parameters
-        )
-        np.testing.assert_array_equal(
-            explicit.equality_matrix, default.equality_matrix
-        )
-        np.testing.assert_array_equal(
-            explicit.equality_vector, default.equality_vector
-        )
-
-    def test_constraint_assembly_compiled_matches_reference(
-        self, basis12, paper_parameters, compiled, pin_table
-    ):
-        from repro.core.constraints import build_constraint_set, default_constraints
-
-        pin_table(numpy_backend)
-        reference_set = build_constraint_set(
-            default_constraints(), basis12, paper_parameters
-        )
-        pin_table(compiled)
-        compiled_set = build_constraint_set(
-            default_constraints(), basis12, paper_parameters
-        )
-        np.testing.assert_allclose(
-            compiled_set.equality_matrix, reference_set.equality_matrix,
-            rtol=0, atol=TOL,
-        )
-        np.testing.assert_allclose(
-            compiled_set.equality_vector, reference_set.equality_vector,
-            rtol=0, atol=TOL,
-        )
-
-    def _batch_workspace(self, seed=41, n=10):
-        from repro.numerics.qp import QPWorkspace, QuadraticProgram
-
-        gen = np.random.default_rng(seed)
-        factor = gen.normal(size=(n + 4, n))
-        program = QuadraticProgram(
-            hessian=factor.T @ factor + 0.5 * np.eye(n),
-            gradient=np.zeros(n),
-            eq_matrix=gen.normal(size=(2, n)),
-            eq_vector=np.zeros(2),
-            ineq_matrix=np.eye(n),
-            ineq_vector=np.zeros(n),
-        )
-        gradients = gen.normal(size=(25, n))
-        return QPWorkspace(program), gradients
-
-    def test_solve_batch_explicit_numpy_is_identical(self, pin_table):
-        workspace, gradients = self._batch_workspace()
-        default = workspace.solve_batch(gradients)
-        pin_table(numpy_backend)
-        explicit = workspace.solve_batch(gradients)
-        np.testing.assert_array_equal(explicit.x, default.x)
-        np.testing.assert_array_equal(explicit.objectives, default.objectives)
-        assert explicit.active_sets == default.active_sets
-
-    def test_solve_batch_compiled_matches_reference(self, compiled, pin_table):
-        workspace, gradients = self._batch_workspace()
-        pin_table(numpy_backend)
-        reference_batch = workspace.solve_batch(gradients)
-        pin_table(compiled)
-        compiled_batch = workspace.solve_batch(gradients)
-        np.testing.assert_allclose(
-            compiled_batch.x, reference_batch.x, rtol=0, atol=TOL
-        )
-        np.testing.assert_allclose(
-            compiled_batch.objectives, reference_batch.objectives,
-            rtol=TOL, atol=TOL,
-        )
-        assert compiled_batch.active_sets == reference_batch.active_sets
+def test_active_backend_is_the_kernel_module():
+    """``perfbench/run.py`` records ``active_backend().name`` as its kernel backend."""
+    assert backends.active_backend() is backends
+    assert backends.active_backend().name == "numpy"

@@ -1,11 +1,15 @@
 """Tests for repro.cellcycle.population."""
 
+import time
+
 import numpy as np
 import pytest
 
+from repro.cellcycle.kernel import KernelBuilder
 from repro.cellcycle.parameters import CellCycleParameters
 from repro.cellcycle.phase import InitialCondition
-from repro.cellcycle.population import PopulationSimulator
+from repro.cellcycle.population import MAX_SIMULATED_CELLS, PopulationSimulator
+from repro.utils.validation import InvalidRequest
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +57,29 @@ class TestRun:
         b = simulator.run(500, 160.0, rng=9)
         assert a.num_cells == b.num_cells
         assert np.allclose(a.division_times, b.division_times)
+
+    def test_long_horizon_hits_the_cell_cap_quickly(self):
+        start = time.perf_counter()
+        with pytest.raises(InvalidRequest, match=f"more than {MAX_SIMULATED_CELLS} cells"):
+            KernelBuilder().build(np.linspace(0.0, 3000.0, 8))
+        assert time.perf_counter() - start < 1.0
+
+    def test_experiment_horizons_stay_far_below_the_cap(self, simulator):
+        history = simulator.run(40_000, 180.0, rng=1)
+        assert 10 * history.num_cells < MAX_SIMULATED_CELLS
+
+    @pytest.mark.parametrize("founders", [1, 20_000])
+    def test_cell_cap_holds_for_any_founder_count(self, simulator, founders):
+        start = time.perf_counter()
+        with pytest.raises(InvalidRequest, match=f"{founders} founder cells"):
+            simulator.run(founders, 6000.0, rng=2)
+        assert time.perf_counter() - start < 1.0
+
+    def test_founders_past_the_cap_are_refused(self, simulator):
+        # Nothing divides before t = 1 min, so only the check made before the
+        # cohort is drawn can refuse this.
+        with pytest.raises(InvalidRequest, match="founder cells"):
+            simulator.run(MAX_SIMULATED_CELLS + 1, 1.0, rng=0)
 
     def test_invalid_arguments(self, simulator):
         with pytest.raises(ValueError):

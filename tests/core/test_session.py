@@ -1,4 +1,4 @@
-"""Tests for the experiment-scoped FitSession: cross-grid caching + streaming.
+"""Tests for the experiment-scoped FitSession: cross-grid caching and batching.
 
 Covers the session-layer guarantees the architecture relies on:
 
@@ -7,8 +7,8 @@ Covers the session-layer guarantees the architecture relies on:
   each other (the pre-session cache held a single slot);
 * ``with_measurements`` / ``restrict`` siblings still share the
   measurement-independent ``selection_cache``;
-* streaming ``submit``/``flush``/``fit_stream`` results match one-shot
-  ``fit`` to 1e-10;
+* ``fit_many`` over one ``fit_options_bucket`` (mixed fixed lambdas, or
+  one selection method) matches one-shot ``fit`` to 1e-10;
 * the shared assembly pipeline (AssemblyContext, penalty memo, shared
   constraint rows) reproduces the per-constraint assembly exactly.
 """
@@ -26,8 +26,8 @@ from repro.core.constraints import (
     default_constraints,
 )
 from repro.core.deconvolver import Deconvolver
-from repro.core.session import FitSession
-from repro.data.synthetic import ftsz_like_profile, single_pulse_profile
+from repro.core.session import FitSession, fit_options_bucket
+from repro.data.synthetic import single_pulse_profile
 
 
 @pytest.fixture(scope="module")
@@ -140,72 +140,71 @@ class TestCrossGridCaching:
         assert first.template.constraint_set is session.constraint_set
 
 
-class TestStreamingAPI:
-    def test_flush_matches_one_shot_fit(self, deconvolver, grids, kernels):
+class TestBatchedFits:
+    def test_fit_many_per_grid_matches_one_shot_fit(self, deconvolver, grids, kernels):
         session = deconvolver.session()
         for kernel in kernels:
             session.register_kernel(kernel)
-        requests = [
-            (grids[0], _measurements(kernels[0]), 1e-3),
-            (grids[1], _measurements(kernels[1]), 1e-3),
-            (grids[0], _measurements(kernels[0], scale=1.2), 1e-3),
-            (grids[0], _measurements(kernels[0], scale=0.8), 1e-2),
-        ]
-        for times, values, lam in requests:
-            session.submit(times, values, lam=lam)
-        streamed = session.flush()
-        assert session.num_pending == 0
-        for (times, values, lam), result in zip(requests, streamed):
-            reference = deconvolver.fit(times, values, lam=lam)
-            assert np.max(np.abs(result.coefficients - reference.coefficients)) <= 1e-10
-            assert result.lam == reference.lam
+        columns = {
+            0: [(_measurements(kernels[0]), 1e-3), (_measurements(kernels[0], 1.2), 1e-3),
+                (_measurements(kernels[0], 0.8), 1e-2)],
+            1: [(_measurements(kernels[1]), 1e-3)],
+        }
+        for index, pairs in columns.items():
+            matrix = np.column_stack([values for values, _ in pairs])
+            results = session.fit_many(grids[index], matrix, lam=[lam for _, lam in pairs])
+            for (values, lam), result in zip(pairs, results):
+                reference = deconvolver.fit(grids[index], values, lam=lam)
+                assert np.max(np.abs(result.coefficients - reference.coefficients)) <= 1e-10
+                assert result.lam == reference.lam
 
-    def test_flush_matches_fit_with_lambda_selection(self, deconvolver, grids, kernels):
+    def test_fit_many_matches_fit_with_lambda_selection(self, deconvolver, grids, kernels):
         times, _ = grids
         session = deconvolver.session()
         session.register_kernel(kernels[0])
         values = _measurements(kernels[0])
-        session.submit(times, values)
-        session.submit(times, values * 1.3)
-        streamed = session.flush()
-        for scale, result in zip((1.0, 1.3), streamed):
+        results = session.fit_many(times, np.column_stack([values, values * 1.3]))
+        for scale, result in zip((1.0, 1.3), results):
             reference = deconvolver.fit(times, values * scale)
             assert result.lam == pytest.approx(reference.lam, rel=1e-12)
             assert np.max(np.abs(result.coefficients - reference.coefficients)) <= 1e-10
 
-    def test_fit_stream_preserves_input_order(self, deconvolver, grids, kernels):
-        session = deconvolver.session()
-        for kernel in kernels:
-            session.register_kernel(kernel)
-        stream = [
-            (grids[index % 2], _measurements(kernels[index % 2], scale=1.0 + 0.1 * index))
-            for index in range(5)
-        ]
-        streamed = list(session.fit_stream(stream, flush_every=2, lam=1e-3))
-        assert len(streamed) == len(stream)
-        for (times, values), result in zip(stream, streamed):
-            reference = deconvolver.fit(times, values, lam=1e-3)
-            assert np.max(np.abs(result.coefficients - reference.coefficients)) <= 1e-10
 
-    def test_flush_empty_queue_is_noop(self, deconvolver):
-        assert deconvolver.session().flush() == []
-
-    def test_fit_stream_validates_flush_every(self, deconvolver, grids, kernels):
-        session = deconvolver.session()
-        session.register_kernel(kernels[0])
-        with pytest.raises(ValueError):
-            list(session.fit_stream([(grids[0], _measurements(kernels[0]))], flush_every=0))
-
-    def test_submitted_measurements_are_snapshotted(self, deconvolver, grids, kernels):
+    def test_fit_many_follows_column_order(self, deconvolver, grids, kernels):
         times, _ = grids
         session = deconvolver.session()
         session.register_kernel(kernels[0])
-        values = _measurements(kernels[0])
-        session.submit(times, values, lam=1e-3)
-        reference = deconvolver.fit(times, values.copy(), lam=1e-3)
-        values *= 10.0  # mutate after submit; the queued fit must not see it
-        (streamed,) = session.flush()
-        assert np.max(np.abs(streamed.coefficients - reference.coefficients)) <= 1e-10
+        columns = [_measurements(kernels[0], scale) for scale in (0.7, 1.0, 1.4)]
+        lams = [1e-2, 1e-3, 1e-2]
+        forward = session.fit_many(times, np.column_stack(columns), lam=lams)
+        backward = session.fit_many(times, np.column_stack(columns[::-1]), lam=lams[::-1])
+        for result, twin in zip(forward, backward[::-1]):
+            assert result.lam == twin.lam
+            assert np.max(np.abs(result.coefficients - twin.coefficients)) <= 1e-10
+
+    def test_fit_many_leaves_its_input_untouched(self, deconvolver, grids, kernels):
+        times, _ = grids
+        session = deconvolver.session()
+        session.register_kernel(kernels[0])
+        matrix = np.column_stack([_measurements(kernels[0]), _measurements(kernels[0], 1.2)])
+        before = matrix.copy()
+        first = session.fit_many(times, matrix, lam=1e-3)
+        np.testing.assert_array_equal(matrix, before)
+        # Results own their numbers: editing the input afterwards changes none.
+        coefficients = [result.coefficients.copy() for result in first]
+        matrix *= 3.0
+        for result, expected in zip(first, coefficients):
+            np.testing.assert_array_equal(result.coefficients, expected)
+
+    def test_fit_many_rejects_a_lambda_list_of_the_wrong_length(
+        self, deconvolver, grids, kernels
+    ):
+        times, _ = grids
+        session = deconvolver.session()
+        session.register_kernel(kernels[0])
+        matrix = np.column_stack([_measurements(kernels[0]), _measurements(kernels[0], 1.2)])
+        with pytest.raises(ValueError, match="one entry per column"):
+            session.fit_many(times, matrix, lam=[1e-3])
 
 
 class TestAssemblyPipeline:
@@ -272,30 +271,25 @@ class TestSessionStats:
         assert stats["workspace_misses"] == 1
         assert stats["workspace_hits"] >= 1
         assert stats["kernel_builds"] == 0  # registered, never built on demand
-        session.submit(grids[0], _measurements(kernels[0], 0.9), lam=1e-3)
-        assert session.stats()["pending"] == 1
-        session.flush()
+        hits = stats["workspace_hits"]
+        matrix = np.column_stack([_measurements(kernels[0], 0.9), _measurements(kernels[0])])
+        session.fit_many(grids[0], matrix, lam=1e-3)
         stats = session.stats()
-        assert stats["pending"] == 0
-        assert stats["flushes"] == 1 and stats["fits_flushed"] == 1
+        assert stats["workspace_misses"] == 1
+        assert stats["workspace_hits"] > hits
 
-    def test_mixed_lambda_submissions_share_a_bucket(self, deconvolver, grids, kernels):
+    def test_mixed_lambda_columns_share_one_call(self, deconvolver, grids, kernels):
         session = deconvolver.session()
         session.register_kernel(kernels[0])
         values = _measurements(kernels[0])
-        session.submit(grids[0], values, lam=1e-3)
-        session.submit(grids[0], values * 1.1, lam=1e-2)
-        first, second = session._pending
-        assert first.bucket() == second.bucket()
-        results = session.flush()
+        assert fit_options_bucket(grids[0], None, 1e-3, "gcv", None) == fit_options_bucket(
+            grids[0], None, 1e-2, "gcv", None
+        )
+        results = session.fit_many(
+            grids[0], np.column_stack([values, values * 1.1]), lam=[1e-3, 1e-2]
+        )
+        assert session.stats()["workspace_misses"] == 1
         for scale, lam, result in ((1.0, 1e-3, results[0]), (1.1, 1e-2, results[1])):
             reference = deconvolver.fit(grids[0], values * scale, lam=lam)
             assert result.lam == reference.lam
             assert np.max(np.abs(result.coefficients - reference.coefficients)) <= 1e-10
-
-    def test_submit_copy_false_keeps_references(self, deconvolver, grids, kernels):
-        session = deconvolver.session()
-        session.register_kernel(kernels[0])
-        values = _measurements(kernels[0])
-        session.submit(grids[0], values, lam=1e-3, copy=False)
-        assert session._pending[0].measurements is values

@@ -84,7 +84,7 @@ def live_server(net_factory):
     scheduler = MicroBatchScheduler(
         SessionPool(net_factory), max_batch=8, workers=2
     )
-    handle = serve_in_thread(scheduler, max_inflight=4, submit_timeout_s=10.0)
+    handle = serve_in_thread(scheduler, submit_timeout_s=10.0)
     try:
         yield handle
     finally:

@@ -52,7 +52,6 @@ class TestServeParser:
         assert args.port == 0
         assert args.cells == 700
         assert args.host == "127.0.0.1"
-        assert args.max_inflight >= 1
 
     def test_http_flags_default_off(self):
         from repro.cli import _build_parser

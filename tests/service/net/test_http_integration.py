@@ -9,12 +9,13 @@ data while fit traffic is in flight.
 
 import concurrent.futures
 import contextlib
+import logging
+import socket
 import threading
 import time
 
 import pytest
 
-from repro import backends
 from repro.service import (
     IntakeOverflow,
     MicroBatchScheduler,
@@ -105,7 +106,6 @@ class TestOpsRoutesUnderLoad:
                 health = ops.healthz()
                 metrics = ops.metrics()
                 pool = ops.pool()
-                backends_doc = ops.backends()
         finally:
             stop.set()
             worker.join(timeout=60.0)
@@ -118,10 +118,6 @@ class TestOpsRoutesUnderLoad:
         assert metrics["gauges"]["net_connections"] >= 1
         assert "server" in metrics and metrics["server"]["port"] == live_server.port
         assert "queue_depth" in pool or "pool" in pool
-        assert backends_doc == {
-            "active": backends.active_backend().name,
-            "requested": backends.requested_backend(),
-        }
 
     def test_route_counters_increment_per_route(self, live_server):
         telemetry = live_server.server.telemetry
@@ -140,6 +136,52 @@ class TestOpsRoutesUnderLoad:
         assert any("fit" in route for route in index["routes"])
 
 
+def _raw_exchange(server, head: bytes) -> bytes:
+    """Send ``head`` on a fresh socket and read until the server closes it."""
+    with socket.create_connection((server.host, server.port), timeout=30.0) as sock:
+        sock.sendall(head)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _post_head(length: str) -> bytes:
+    return f"POST /v1/fit HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n".encode(
+        "latin-1"
+    )
+
+
+class TestMalformedHead:
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (_post_head("abc"), 400),
+            (_post_head("-5"), 400),
+            (_post_head(""), 400),
+            (_post_head("\u00b2"), 400),
+            (_post_head("99999999999"), 413),
+            (b"GARBAGE\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70000 + b"\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.1\r\n" + b"X: y\r\n" * 300 + b"\r\n", 400),
+        ],
+        ids=["letters", "negative", "empty", "unicode-digit", "oversized", "request-line",
+             "long-line", "many-headers"],
+    )
+    def test_answered_then_closed(self, live_server, caplog, head, status):
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            reply = _raw_exchange(live_server, head)
+        status_line, _sep, rest = reply.partition(b"\r\n")
+        assert status_line.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"Connection: close" in rest
+        frame = decode_frame(rest.split(b"\r\n\r\n", 1)[1])
+        assert frame.kind == "error" and frame.payload["http_status"] == status
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+        # The server keeps serving.
+        with FitHTTPClient(live_server.host, live_server.port) as client:
+            assert client.healthz()["status"] == "ok"
+
+
 class TestTypedErrorsOverTheWire:
     def test_malformed_fit_raises_protocol_error(self, live_server):
         with FitHTTPClient(live_server.host, live_server.port) as client:
@@ -150,6 +192,28 @@ class TestTypedErrorsOverTheWire:
         with FitHTTPClient(live_server.host, live_server.port) as client:
             status, data = client._round_trip("GET", "/no/such/route")
         assert status == 404
+
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"GET /backends HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n", 404),
+            (
+                b"GET /v1/fit HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+                b"Upgrade: websocket\r\nSec-WebSocket-Version: 13\r\n"
+                b"Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n\r\n",
+                405,
+            ),
+        ],
+        ids=["backends", "websocket-upgrade"],
+    )
+    def test_no_kernel_listing_and_no_upgrade(self, live_server, head, status):
+        # A WebSocket handshake is one more GET: the fit route answers it
+        # 405 like any other GET, with no switch of protocols.
+        reply = _raw_exchange(live_server, head)
+        status_line, _sep, rest = reply.partition(b"\r\n")
+        assert status_line.startswith(f"HTTP/1.1 {status} ".encode())
+        frame = decode_frame(rest.split(b"\r\n\r\n", 1)[1])
+        assert frame.kind == "error" and frame.payload["http_status"] == status
 
     def test_solver_rejection_maps_to_bad_request(self, live_server, net_workload):
         # A structurally valid frame the solver itself rejects (unknown

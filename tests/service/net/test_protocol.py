@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service import FitRequest
+from repro.service import FitRequest, InvalidRequest
 from repro.service.errors import (
     DeadlineExceeded,
     IntakeOverflow,
@@ -34,7 +34,6 @@ from repro.service.net import (
     VersionMismatch,
     WireError,
     WireFit,
-    WireHello,
     WireResult,
     decode_frame,
     error_to_frame,
@@ -104,15 +103,6 @@ def wire_errors(draw):
     )
 
 
-@st.composite
-def wire_hellos(draw):
-    return WireHello(
-        versions=draw(st.lists(st.integers(min_value=1, max_value=99), min_size=1, max_size=4)),
-        server=draw(names),
-        max_inflight=draw(st.integers(min_value=0, max_value=1024)),
-    )
-
-
 def roundtrip(kind, payload_obj, decode):
     """Encode a frame, decode it, and rebuild the typed payload."""
     frame = Frame(kind, payload_obj.to_payload(), id="x1")
@@ -138,11 +128,6 @@ class TestRoundTrip:
     @given(wire=wire_errors())
     def test_error_roundtrip_identity(self, wire):
         assert roundtrip("error", wire, WireError.from_payload) == wire
-
-    @settings(max_examples=60, deadline=None)
-    @given(wire=wire_hellos())
-    def test_hello_roundtrip_identity(self, wire):
-        assert roundtrip("hello", wire, WireHello.from_payload) == wire
 
     @settings(max_examples=60, deadline=None)
     @given(values=st.lists(finite, min_size=1, max_size=32))
@@ -232,6 +217,7 @@ class TestErrorTaxonomyMapping:
         (VersionMismatch(7), "version_mismatch", 400, False),
         (ServiceError("something typed"), "service_error", 500, False),
         (ValueError("sigma must be positive"), "bad_request", 400, False),
+        (InvalidRequest("time grid past the population cap"), "bad_request", 400, False),
         (RuntimeError("boom"), "internal", 500, False),
     ]
 
@@ -372,9 +358,9 @@ class TestExplicitPayloads:
             assert payload["sigma"] == wire.sigma and payload["sigma"] is not wire.sigma
 
     @settings(max_examples=40, deadline=None)
-    @given(result=wire_results(), error=wire_errors(), hello=wire_hellos())
-    def test_payload_keys_are_the_schema(self, result, error, hello):
-        for obj, listed in ((result, "coefficients"), (error, "details"), (hello, "versions")):
+    @given(result=wire_results(), error=wire_errors())
+    def test_payload_keys_are_the_schema(self, result, error):
+        for obj, listed in ((result, "coefficients"), (error, "details")):
             payload = obj.to_payload()
             assert list(payload) == list(type(obj).__dataclass_fields__)
             assert payload[listed] == getattr(obj, listed)

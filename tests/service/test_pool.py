@@ -96,7 +96,7 @@ class TestSessionPool:
         assert stats["entries"] == 1
         assert "'a'" in stats["sessions"]
         session_stats = stats["sessions"]["'a'"]
-        assert {"grids", "workspaces", "pending", "approx_bytes"} <= set(session_stats)
+        assert {"grids", "workspaces", "approx_bytes"} <= set(session_stats)
 
     def test_clear_skips_leased(self, factory):
         pool = SessionPool(factory)

@@ -100,6 +100,24 @@ class TestCircuitBreaker:
         assert breaker.state == "open" and not breaker.allow()
         assert breaker.trips == 2
 
+    def test_released_probe_reopens_without_a_trip(self):
+        breaker, clock = self.make(threshold=1, reset=5.0)
+        breaker.record_failure()
+        clock["now"] = 5.0
+        assert breaker.allow()
+        breaker.release_probe()  # a client fault: the probe showed nothing
+        assert breaker.state == "open" and breaker.trips == 1
+        assert breaker.allow()  # the next call probes again at once
+        breaker.record_success()
+        assert breaker.state == "closed"
+
+    def test_release_probe_leaves_a_closed_breaker_alone(self):
+        breaker, _ = self.make(threshold=2)
+        breaker.record_failure()
+        breaker.release_probe()
+        assert breaker.state == "closed"
+        assert breaker.record_failure()  # the earlier failure still counts
+
     def test_validation(self):
         with pytest.raises(ValueError):
             CircuitBreaker(0)

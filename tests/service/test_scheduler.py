@@ -25,8 +25,10 @@ from repro.service import (
     FaultPlan,
     FitRequest,
     IntakeOverflow,
+    InvalidRequest,
     MicroBatchScheduler,
     ResultCache,
+    RetryPolicy,
     SessionPool,
     WorkloadSpec,
     build_workload,
@@ -224,6 +226,44 @@ class TestMalformedRequestsFailAlone:
         assert counters.get("breaker_trips", 0) == 0
         assert counters.get("degraded_requests", 0) == 0
         assert counters["errors"] == len(bad)
+
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["nan", "short", "negative_lam", "negative_deadline", "infinite_deadline",
+         "short_sigma", "nan_sigma", "negative_sigma"],
+    )
+    def test_admission_rejection_is_an_invalid_request(self, factory, workload, kind):
+        # The typed client fault (still a ValueError, so a 400 on the wire)
+        # that the runner keeps away from the shard's breaker.
+        with MicroBatchScheduler(SessionPool(factory), max_batch=32) as scheduler:
+            bad, good = scheduler.submit_many([_malformed(workload[0], kind), workload[1]])
+            scheduler.drain(timeout=60.0)
+        with pytest.raises(InvalidRequest):
+            bad.result(timeout=0)
+        reference = serial_reference(factory("reference"), [workload[1]])
+        assert max_coefficient_gap([good.result(timeout=0)], reference) <= 1e-10
+
+    def test_invalid_request_from_the_session_build_is_not_retried(self, workload):
+        # A retry-everything policy and a one-failure breaker: counted as a
+        # shard failure, the build's client fault would trip and retry.
+        def refuse(_key):
+            raise InvalidRequest("no session for this configuration")
+
+        scheduler = MicroBatchScheduler(
+            SessionPool(refuse),
+            retry=RetryPolicy(max_attempts=3, retryable=lambda exc: True),
+            breaker_threshold=1,
+        )
+        with scheduler:
+            futures = scheduler.submit_many(workload[:3])
+            scheduler.drain(timeout=60.0)
+            counters = scheduler.telemetry.snapshot()["counters"]
+        for future in futures:
+            with pytest.raises(InvalidRequest, match="no session"):
+                future.result(timeout=0)
+        assert counters.get("retries", 0) == 0
+        assert counters.get("breaker_trips", 0) == 0
 
 
 class _WidthRecorder(FaultPlan):

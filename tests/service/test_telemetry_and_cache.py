@@ -121,9 +121,9 @@ class TestTelemetry:
         telemetry.set_gauge("net_connections", 3.0)
         assert telemetry.gauge("net_connections") == 3.0
         assert telemetry.adjust_gauge("net_connections", -1.0) == 2.0
-        assert telemetry.adjust_gauge("net_ws_inflight", 5.0) == 5.0
+        assert telemetry.adjust_gauge("requests_inflight", 5.0) == 5.0
         snapshot = telemetry.snapshot()
-        assert snapshot["gauges"] == {"net_connections": 2.0, "net_ws_inflight": 5.0}
+        assert snapshot["gauges"] == {"net_connections": 2.0, "requests_inflight": 5.0}
 
     def test_gauges_are_levels_not_counters(self):
         telemetry = Telemetry()
