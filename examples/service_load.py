@@ -7,7 +7,7 @@
 * a `MicroBatchScheduler` accepts requests from many producer threads,
   solves at once on an idle shard, coalesces compatible requests that queue
   up while a shard is busy, and solves each batch as one stacked multi-RHS
-  `fit_many(engine="batch")` call;
+  `fit_many` call;
 * a content-addressed `ResultCache` answers bit-exact repeats in O(lookup);
 * `Telemetry` records counters plus latency / batch-size histograms.
 

@@ -457,10 +457,11 @@ def _run_serve(args: argparse.Namespace) -> int:
         await server.start()
         print(f"repro fit service listening on http://{server.host}:{server.port}")
         print("routes: POST /v1/fit  POST /v1/fit/batch  /healthz  /metrics  /pool")
+        # Ctrl-C cancels this task; the cancellation must propagate, since
+        # only a cancelled main task makes asyncio.run raise
+        # KeyboardInterrupt below.
         try:
             await server.serve_forever()
-        except asyncio.CancelledError:
-            pass
         finally:
             await server.aclose()
 

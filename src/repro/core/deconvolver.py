@@ -9,9 +9,8 @@ assembly, smoothing-parameter selection and the constrained QP solve.
 Repeated fits share everything reusable through an experiment-scoped
 :class:`~repro.core.session.FitSession`: kernels, forward models and template
 problems (with their per-lambda QP factorizations and selection plans) are
-cached per measurement grid, multi-species batches and bootstrap replicates
-ride the batched multi-RHS engine, and each solve can be warm-started from a
-related previous fit via the ``warm_start`` argument.
+cached per measurement grid, and multi-species batches and bootstrap
+replicates ride one stacked multi-RHS solve.
 """
 
 from __future__ import annotations
@@ -56,9 +55,6 @@ class Deconvolver:
     constraints:
         Constraint objects; defaults to the paper's full stack (positivity,
         RNA conservation, rate continuity).
-    solver_backend:
-        QP backend: ``"auto"`` (in-repo active-set solver with SciPy fallback),
-        ``"active_set"`` or ``"scipy"``.
     kernel_builder:
         Optional pre-configured builder used when ``kernel`` is omitted.
     """
@@ -70,7 +66,6 @@ class Deconvolver:
         parameters: Optional[CellCycleParameters] = None,
         num_basis: int = config.DEFAULT_NUM_BASIS,
         constraints: Optional[Sequence[Constraint]] = None,
-        solver_backend: str = "auto",
         kernel_builder: Optional[KernelBuilder] = None,
     ) -> None:
         self.parameters = parameters if parameters is not None else CellCycleParameters()
@@ -81,7 +76,6 @@ class Deconvolver:
             self.constraints: list[Constraint] = default_constraints()
         else:
             self.constraints = list(constraints)
-        self.solver_backend = solver_backend
         self._session: Optional[FitSession] = None
 
     def ensure_kernel(self, times: np.ndarray, rng: SeedLike = 0) -> VolumeKernel:
@@ -151,7 +145,6 @@ class Deconvolver:
         lambda_method: str = "gcv",
         lambda_grid: np.ndarray | None = None,
         rng: SeedLike = 0,
-        warm_start: DeconvolutionResult | None = None,
     ) -> DeconvolutionResult:
         """Deconvolve one population expression time series.
 
@@ -174,11 +167,6 @@ class Deconvolver:
             finite and ``>= 0`` (checked only when ``lam`` is ``None``).
         rng:
             Seed for kernel construction (when needed) and CV fold assignment.
-        warm_start:
-            Result of a related previous fit on the same grid (a bootstrap
-            base fit, the previous species in a batch); its coefficients and
-            active set warm-start the final QP solve.  Ignored when the basis
-            sizes differ.
 
         Returns
         -------
@@ -189,37 +177,14 @@ class Deconvolver:
 
         lambda_path: dict[float, float] = {}
         if lam is None:
-            selection = select_lambda(
-                problem, lambda_grid, method=lambda_method, backend=self.solver_backend, rng=rng
-            )
+            selection = select_lambda(problem, lambda_grid, method=lambda_method, rng=rng)
             lam = selection.best_lambda
             lambda_path = selection.scores
 
-        warm_x = None
-        warm_active = None
-        if warm_start is not None and warm_start.coefficients.size == problem.num_coefficients:
-            warm_x = warm_start.coefficients
-            warm_active = warm_start.solver_active_set
-        qp_result = problem.solve(
-            float(lam), backend=self.solver_backend, x0=warm_x, active_set=warm_active
-        )
-        return self._result_from_solve(problem, float(lam), qp_result, times, lambda_path)
-
-    def _result_from_solve(
-        self,
-        problem: DeconvolutionProblem,
-        lam: float,
-        qp_result,
-        times: np.ndarray,
-        lambda_path: dict[float, float],
-    ) -> DeconvolutionResult:
-        """Package one QP solve into a :class:`DeconvolutionResult`.
-
-        Derived diagnostics (fitted values, misfit, roughness, constraint
-        violations) are left to the result's lazy properties, backed by the
-        problem reference: batched high-throughput paths only pay for what a
-        caller actually reads, and the values are identical either way.
-        """
+        qp_result = problem.solve(float(lam))
+        # Derived diagnostics (fitted values, misfit, roughness, constraint
+        # violations) are left to the result's lazy properties, backed by the
+        # problem reference.
         return self._package(
             problem,
             lam,
@@ -282,8 +247,6 @@ class Deconvolver:
         lambda_method: str = "gcv",
         lambda_grid: np.ndarray | None = None,
         rng: SeedLike = 0,
-        engine: str = "auto",
-        warm_start_chain: bool = True,
     ) -> list[DeconvolutionResult]:
         """Deconvolve several species sharing the same measurement times.
 
@@ -291,9 +254,12 @@ class Deconvolver:
         the kernel, design matrix, constraint rows, per-lambda QP
         factorizations *and* the lambda search's eigendecompositions (the GCV
         pencil, the k-fold per-fold plans) through one :class:`FitWorkspace`
-        and its template problem, so the per-species marginal cost is a
-        gradient, a grid scoring pass and one QP solve — or, on the default
-        batched engine, one *row* of a stacked multi-RHS solve.
+        and its template problem.  After lambda selection, every column is
+        one row of a single stacked
+        :meth:`~repro.core.problem.DeconvolutionProblem.solve_mixed` call: one
+        multi-RHS solve when the columns share one lambda, one eig-basis pass
+        over all of them otherwise.  The active-set loop only runs for the
+        columns where positivity binds differently.
 
         Parameters
         ----------
@@ -305,27 +271,7 @@ class Deconvolver:
             to request automatic selection for that species), and ``None``
             selects automatically for every species.  Mixed-lambda batches
             let service callers solve heterogeneous traffic on one grid as
-            a single call — the batch engine groups by lambda internally.
-        engine:
-            Which execution engine runs the final per-species solves (lambda
-            selection is always serial so the shared plans are filled
-            deterministically):
-
-            * ``"batch"`` — species are grouped by their selected lambda and
-              each group is solved as one stacked multi-RHS
-              :meth:`~repro.core.problem.DeconvolutionProblem.solve_batch`
-              (shared factorization, single LAPACK calls; the active-set
-              loop only runs for species where positivity binds
-              differently).
-            * ``"serial"`` — one :meth:`fit` per species, chained through
-              ``warm_start_chain``; the reference the batch engine is
-              tested against.
-            * ``"auto"`` (default) — ``"batch"``.
-        warm_start_chain:
-            Serial engine only: when true (default) each species' final
-            solve is warm-started from the previous species' solution and
-            active set.  Set to false for fully independent,
-            order-insensitive per-species solves.
+            a single call.
 
         Returns
         -------
@@ -336,10 +282,6 @@ class Deconvolver:
         if matrix.ndim != 2:
             raise ValueError("measurement_matrix must be two-dimensional")
         num_species = matrix.shape[1]
-        if engine == "auto":
-            engine = "batch"
-        if engine not in ("batch", "serial"):
-            raise ValueError(f"unknown fit_many engine {engine!r}")
 
         if lam is None or np.ndim(lam) == 0:
             requested: list[float | None] = [
@@ -350,30 +292,13 @@ class Deconvolver:
             if len(requested) != num_species:
                 raise ValueError("per-species lam must have one entry per column")
 
-        if engine == "serial" and warm_start_chain:
-            results: list[DeconvolutionResult] = []
-            previous: DeconvolutionResult | None = None
-            for column in range(num_species):
-                previous = self.fit(
-                    times,
-                    matrix[:, column],
-                    sigma=sigma,
-                    lam=requested[column],
-                    lambda_method=lambda_method,
-                    lambda_grid=lambda_grid,
-                    rng=rng,
-                    warm_start=previous,
-                )
-                results.append(previous)
-            return results
-
         times = ensure_1d(times, "times")
         workspace = self.fit_workspace(times, sigma=sigma, rng=rng)
         template = workspace.template
         # One up-front check of the whole matrix (before any solve); the
         # siblings and results below skip per-vector validation.  A column
-        # gets its own sibling problem only where a solve or a selection
-        # needs one; the other results build theirs on first use.
+        # gets its own sibling problem only where a selection needs one; the
+        # other results build theirs on first use.
         template.check_columns(matrix)
         problems: list[DeconvolutionProblem | None] = [None] * num_species
 
@@ -407,89 +332,35 @@ class Deconvolver:
                 # live in shared caches that the first species fills and the
                 # rest reuse.
                 selection = select_lambda(
-                    problem_for(column),
-                    lambda_grid,
-                    method=lambda_method,
-                    backend=self.solver_backend,
-                    rng=rng,
+                    problem_for(column), lambda_grid, method=lambda_method, rng=rng
                 )
                 lams.append(float(selection.best_lambda))
                 paths.append(selection.scores)
 
-        if engine == "batch":
-            # Results are views of the stacked solve arrays, each owning one
-            # row of a stacked copy of the (validated) times and
-            # measurements: writing to one result's arrays never touches its
-            # batch neighbours, the caller's matrix or the rows a result
-            # without a sibling builds it from.
-            stacked_times = np.repeat(times[None, :], num_species, axis=0)
-            rows = matrix.T.copy()
-            stacked_measurements = rows.copy()
-            results = [None] * num_species  # type: ignore[list-item]
-
-            def package(column, x, converged, iterations, active_set) -> None:
-                results[column] = self._package(
-                    problems[column],
-                    lams[column],
-                    x,
-                    converged,
-                    iterations,
-                    active_set,
-                    stacked_times[column],
-                    stacked_measurements[column],
-                    paths[column],
-                    template,
-                    rows[column],
-                )
-
-            def package_rows(batch, columns) -> None:
-                converged = batch.converged.tolist()
-                iterations = batch.iterations.tolist()
-                for row, column in enumerate(columns):
-                    package(
-                        column,
-                        batch.x[row],
-                        converged[row],
-                        iterations[row],
-                        batch.active_sets[row],
-                    )
-
-            if len(set(lams)) > 1:
-                # Mixed-lambda batch: one stacked eig-basis pass solves every
-                # column regardless of its lambda (per-group active-set
-                # fallback runs inside solve_mixed only where positivity
-                # binds), cutting the per-group fixed cost out of the
-                # micro-batch floor.
-                mixed = template.solve_mixed(lams, matrix, backend=self.solver_backend)
-                package_rows(mixed, range(num_species))
-            elif num_species == 1:
-                # One column: the stacked multi-RHS machinery (RHS stacking,
-                # vectorized KKT verification) costs more than it saves for
-                # one row; the plain warm workspace solve reaches the same
-                # exact optimum.
-                qp_result = problem_for(0).solve(lams[0], backend=self.solver_backend)
-                package(
-                    0,
-                    qp_result.x,
-                    qp_result.converged,
-                    qp_result.iterations,
-                    qp_result.active_set,
-                )
-            elif num_species:
-                # One lambda shared by every species: one shared Hessian
-                # factorization, one stacked multi-RHS solve.
-                batch = template.solve_batch(lams[0], matrix, backend=self.solver_backend)
-                package_rows(batch, range(num_species))
-            return results
-
-        # Serial engine without the warm chain: independent per-species solves.
+        batch = template.solve_mixed(lams, matrix)
+        # Results are views of the stacked solve arrays, each owning one row
+        # of a stacked copy of the (validated) times and measurements:
+        # writing to one result's arrays never touches its batch neighbours,
+        # the caller's matrix or the rows a result without a sibling builds
+        # it from.
+        stacked_times = np.repeat(times[None, :], num_species, axis=0)
+        rows = matrix.T.copy()
+        stacked_measurements = rows.copy()
+        converged = batch.converged.tolist()
+        iterations = batch.iterations.tolist()
         return [
-            self._result_from_solve(
-                problem,
-                chosen,
-                problem.solve(chosen, backend=self.solver_backend),
-                times,
-                path,
+            self._package(
+                problems[column],
+                lams[column],
+                batch.x[column],
+                converged[column],
+                iterations[column],
+                batch.active_sets[column],
+                stacked_times[column],
+                stacked_measurements[column],
+                paths[column],
+                template,
+                rows[column],
             )
-            for problem, chosen, path in zip(map(problem_for, range(num_species)), lams, paths)
+            for column in range(num_species)
         ]

@@ -6,7 +6,7 @@ Two selectors are provided:
 * **k-fold cross-validation** — measurements are split into folds; for each
   candidate ``lambda`` the constrained problem is solved on the training folds
   and scored by the weighted squared error on the held-out measurements.  The
-  default engine factors each fold *once*: a generalised eigendecomposition
+  scorer factors each fold *once*: a generalised eigendecomposition
   of the pencil ``(Omega, A_tr^T W A_tr + c Omega)`` (with the shift ``c``
   inside the lambda grid so the factored matrix is a well-conditioned actual
   Hessian) turns every candidate's training Hessian into the diagonal
@@ -14,9 +14,9 @@ Two selectors are provided:
   ``O(Nc)`` diagonal solve plus a tiny KKT correction for the equality rows;
   the constrained active-set solver only runs for the candidates whose
   unconstrained optimum violates an inequality (and those solves reuse
-  per-candidate cached workspaces and warm starts).  A ``solve`` engine — the
-  fold-hoisted, warm-started per-(fold, lambda) QP sweep — remains as the
-  reference and the fallback for degenerate pencils.
+  per-candidate cached workspaces and warm starts).  The fold-hoisted,
+  warm-started per-(fold, lambda) QP sweep is the automatic fallback for
+  degenerate pencils.
 * **generalised cross-validation (GCV)** — the classical closed-form score of
   the *unconstrained* smoother matrix
   ``S(lambda) = A (A^T W A + lambda Omega)^-1 A^T W``; inequality constraints
@@ -523,9 +523,7 @@ class KFoldEigPlan:
             for fold in folds
         ]
 
-    def score(
-        self, measurements: np.ndarray, *, backend: str = "auto"
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def score(self, measurements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Summed held-out CV scores for one measurement vector.
 
         Returns ``(totals, valid)`` in the *original* lambda-grid order.
@@ -544,7 +542,7 @@ class KFoldEigPlan:
             scores = np.einsum("lj,lj->l", residuals, residuals)
             if not np.all(feasible):
                 self._solve_infeasible(
-                    fold, gradient, solutions, feasible, scores, measurements, valid, backend
+                    fold, gradient, solutions, feasible, scores, measurements, valid
                 )
             totals += scores
         reordered_totals = np.empty(num_candidates)
@@ -562,7 +560,6 @@ class KFoldEigPlan:
         scores: np.ndarray,
         measurements: np.ndarray,
         valid: np.ndarray,
-        backend: str,
     ) -> None:
         """Constrained solves for the candidates the fast path cannot score.
 
@@ -575,10 +572,7 @@ class KFoldEigPlan:
         """
         test_values = measurements[fold.test]
         resolved = np.zeros(solutions.shape[0], dtype=bool)
-        if backend in ("auto", "active_set"):
-            self._verify_warm_candidates(
-                fold, gradient, feasible, scores, test_values, resolved
-            )
+        self._verify_warm_candidates(fold, gradient, feasible, scores, test_values, resolved)
         previous: tuple[np.ndarray, list[int]] | None = None
         for index in range(solutions.shape[0]):
             if feasible[index]:
@@ -592,20 +586,11 @@ class KFoldEigPlan:
             warm = fold.warm_starts.get(index, previous)
             warm_x = warm[0] if warm is not None else None
             warm_active = warm[1] if warm is not None else None
-            if backend == "active_set" or backend == "auto":
-                result = fold.fallback_workspace(index).solve(
-                    gradient, x0=warm_x, active_set=warm_active
-                )
-                if backend == "auto" and not (
-                    result.converged and self._feasible(fold, result.x)
-                ):
-                    result = self._solve_general(
-                        fold, index, gradient, warm_x, warm_active, backend
-                    )
-            else:
-                result = self._solve_general(
-                    fold, index, gradient, warm_x, warm_active, backend
-                )
+            result = fold.fallback_workspace(index).solve(
+                gradient, x0=warm_x, active_set=warm_active
+            )
+            if not (result.converged and self._feasible(fold, result.x)):
+                result = self._solve_general(fold, index, gradient, warm_x, warm_active)
             if not result.converged:
                 valid[index] = False
                 continue
@@ -715,7 +700,6 @@ class KFoldEigPlan:
         gradient: np.ndarray,
         warm_x: np.ndarray | None,
         warm_active: list[int] | None,
-        backend: str,
     ) -> QPResult:
         """Full ``solve_qp`` dispatch (SciPy fallback) for one candidate."""
         workspace = fold.fallback_workspace(index)
@@ -727,9 +711,7 @@ class KFoldEigPlan:
             ineq_matrix=fold.ineq_columns,
             ineq_vector=fold.ineq_vector,
         )
-        return solve_qp(
-            program, warm_x, backend=backend, active_set=warm_active, workspace=workspace
-        )
+        return solve_qp(program, warm_x, active_set=warm_active, workspace=workspace)
 
 
 def _kfold_scores_solve(
@@ -737,9 +719,8 @@ def _kfold_scores_solve(
     lambdas: np.ndarray,
     folds: list[np.ndarray],
     permutation: np.ndarray,
-    backend: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reference engine: per-(fold, lambda) constrained solves.
+    """Per-(fold, lambda) constrained solves: the degenerate-pencil fallback.
 
     Each fold's restricted training problem and held-out forward model are
     assembled once; within a fold the lambda grid is swept from the largest
@@ -766,10 +747,7 @@ def _kfold_scores_solve(
             if not valid[index]:
                 continue
             result = train_problem.solve(
-                float(lambdas[index]),
-                backend=backend,
-                x0=warm_x,
-                active_set=warm_active,
+                float(lambdas[index]), x0=warm_x, active_set=warm_active
             )
             if not result.converged:
                 valid[index] = False
@@ -785,9 +763,7 @@ def k_fold_cross_validation(
     lambdas: np.ndarray,
     *,
     num_folds: int = 5,
-    backend: str = "auto",
     rng: SeedLike = 0,
-    engine: str = "auto",
 ) -> LambdaSelectionResult:
     """Score each candidate ``lambda`` by k-fold cross-validation.
 
@@ -799,21 +775,22 @@ def k_fold_cross_validation(
         Candidate smoothing parameters.
     num_folds:
         Number of folds; capped at the number of measurements (leave-one-out).
-    backend:
-        QP backend used for the training fits.
     rng:
         Seed controlling the random fold assignment.
-    engine:
-        ``"eig"`` scores the grid through per-fold generalised
-        eigendecompositions (each candidate's training factor is a diagonal
-        rescale; the constrained solver only runs for candidates with active
-        inequalities), ``"solve"`` runs the per-(fold, lambda) warm-started
-        QP sweep, and ``"auto"`` (default) uses ``"eig"`` with an automatic
-        fallback to ``"solve"`` for degenerate pencils.  The eigendecomposition
-        plan is cached on the problem family, so repeated calls — and sibling
-        problems from
-        :meth:`~repro.core.problem.DeconvolutionProblem.with_measurements`,
-        e.g. a multi-species batch — reuse the per-fold factorizations.
+
+    Notes
+    -----
+    The grid is scored through per-fold generalised eigendecompositions
+    (:class:`KFoldEigPlan`: each candidate's training factor is a diagonal
+    rescale; the constrained solver only runs for candidates with active
+    inequalities).  The plan is cached on the problem family, so repeated
+    calls — and sibling problems from
+    :meth:`~repro.core.problem.DeconvolutionProblem.with_measurements`, e.g.
+    a multi-species batch — reuse the per-fold factorizations.  When the
+    pencil is degenerate (the plan raises
+    :class:`numpy.linalg.LinAlgError`, e.g. ``ridge=0`` with ``0`` on the
+    grid), the grid is scored by per-(fold, lambda) constrained solves
+    instead.
 
     Returns
     -------
@@ -826,27 +803,20 @@ def k_fold_cross_validation(
     num_folds = int(min(num_folds, num_measurements))
     if num_folds < 2:
         raise ValueError("cross-validation needs at least two folds")
-    if engine not in ("auto", "eig", "solve"):
-        raise ValueError(f"unknown k-fold engine {engine!r}")
     generator = as_generator(rng)
     permutation = generator.permutation(num_measurements)
     folds = np.array_split(permutation, num_folds)
 
-    totals = valid = None
-    if engine in ("auto", "eig"):
-        fingerprint = (num_folds, permutation.tobytes(), lambdas.tobytes())
-        try:
-            plan = problem.selection_cache(
-                "kfold_eig",
-                lambda: KFoldEigPlan(problem, lambdas, folds, permutation),
-                fingerprint=fingerprint,
-            )
-            totals, valid = plan.score(problem.measurements, backend=backend)
-        except np.linalg.LinAlgError:
-            if engine == "eig":
-                raise
-    if totals is None:
-        totals, valid = _kfold_scores_solve(problem, lambdas, folds, permutation, backend)
+    fingerprint = (num_folds, permutation.tobytes(), lambdas.tobytes())
+    try:
+        plan = problem.selection_cache(
+            "kfold_eig",
+            lambda: KFoldEigPlan(problem, lambdas, folds, permutation),
+            fingerprint=fingerprint,
+        )
+        totals, valid = plan.score(problem.measurements)
+    except np.linalg.LinAlgError:
+        totals, valid = _kfold_scores_solve(problem, lambdas, folds, permutation)
 
     scores = {
         float(lambdas[index]): float(totals[index]) if valid[index] else np.inf
@@ -862,9 +832,7 @@ def select_lambda(
     *,
     method: str = "gcv",
     num_folds: int = 5,
-    backend: str = "auto",
     rng: SeedLike = 0,
-    engine: str = "auto",
 ) -> LambdaSelectionResult:
     """Select ``lambda`` with the requested method.
 
@@ -878,7 +846,7 @@ def select_lambda(
     method:
         ``"gcv"`` (:func:`generalized_cross_validation`) or ``"kfold"``
         (:func:`k_fold_cross_validation`).
-    num_folds, backend, rng, engine:
+    num_folds, rng:
         Passed through to the k-fold selector; ignored by GCV.
 
     Returns
@@ -891,6 +859,4 @@ def select_lambda(
     lambdas = default_lambda_grid() if lambdas is None else check_lambda_grid(lambdas)
     if method == "gcv":
         return generalized_cross_validation(problem, lambdas)
-    return k_fold_cross_validation(
-        problem, lambdas, num_folds=num_folds, backend=backend, rng=rng, engine=engine
-    )
+    return k_fold_cross_validation(problem, lambdas, num_folds=num_folds, rng=rng)

@@ -382,7 +382,6 @@ class DeconvolutionProblem:
         lams: Sequence[float],
         measurement_matrix: np.ndarray,
         *,
-        backend: str = "auto",
         shared_active_set: Sequence[int] | None = None,
         tol: float = 1e-9,
     ) -> BatchQPResult:
@@ -399,7 +398,10 @@ class DeconvolutionProblem:
         set, or whose lambda is too far from the pencil shift for full
         accuracy, fall back to the per-group :meth:`solve_batch` path, so
         every returned row is either a verified-KKT exact optimum or the
-        product of the unchanged active-set solver.
+        product of the unchanged active-set solver.  A batch with one
+        distinct lambda is one :meth:`solve_batch` call (measured faster than
+        the eig-basis pass on one lambda); a batch of no columns returns an
+        empty result.
 
         Parameters
         ----------
@@ -408,9 +410,6 @@ class DeconvolutionProblem:
             strictly positive; otherwise the per-group path runs).
         measurement_matrix:
             Measurement vectors, shape ``(num_measurements, num_problems)``.
-        backend:
-            Passed through to the per-group fallback (``"scipy"`` disables
-            the stacked pass entirely).
         shared_active_set:
             Working-set hint tried first in the stacked pass.
         tol:
@@ -435,12 +434,12 @@ class DeconvolutionProblem:
             return self.solve_batch(
                 float(distinct[0]),
                 matrix,
-                backend=backend,
                 shared_active_set=shared_active_set,
                 tol=tol,
             )
         plan: MixedLambdaEigPlan | None = None
-        if backend != "scipy" and np.all(distinct > 0.0):
+        # No column, no plan: the arrays below are then the empty result.
+        if distinct.size and np.all(distinct > 0.0):
             # Quantize the shift to half-decades around the batch's geometric
             # mean so batches drawn from a stable lambda population reuse one
             # cached plan (and its remembered working sets).  Each quantized
@@ -509,7 +508,6 @@ class DeconvolutionProblem:
             group = self.solve_batch(
                 lam,
                 matrix[:, columns],
-                backend=backend,
                 shared_active_set=shared,
                 tol=tol,
             )

@@ -10,14 +10,12 @@ replicate profiles.
 
 All replicates run against the measurement grid of the base fit, so they
 share the deconvolver's :class:`~repro.core.deconvolver.FitWorkspace` (kernel,
-design matrix, constraint rows, per-lambda QP factorization).  On the default
-``batch`` engine the whole replicate family is solved as **one stacked
-multi-RHS solve** (:meth:`~repro.core.problem.DeconvolutionProblem.solve_batch`)
-against the shared factorization, with the base fit's active set pinned for
-the batched KKT verification — the per-replicate active-set loop only runs
-for replicates whose positivity pattern actually differs from the base fit.
-A ``serial`` engine (one warm-started fit per replicate) is kept as the
-reference path.
+design matrix, constraint rows, per-lambda QP factorization).  The whole
+replicate family is solved as **one stacked multi-RHS solve**
+(:meth:`~repro.core.problem.DeconvolutionProblem.solve_batch`) against the
+shared factorization, with the base fit's active set pinned for the batched
+KKT verification — the per-replicate active-set loop only runs for
+replicates whose positivity pattern actually differs from the base fit.
 """
 
 from __future__ import annotations
@@ -90,7 +88,6 @@ def bootstrap_deconvolution(
     parametric: bool = True,
     num_phase_points: int = 201,
     rng: SeedLike = 0,
-    engine: str = "auto",
 ) -> BootstrapResult:
     """Residual-bootstrap confidence band for a deconvolved profile.
 
@@ -116,15 +113,9 @@ def bootstrap_deconvolution(
     num_phase_points:
         Resolution of the phase grid of the returned band.
     rng:
-        Seed or generator.
-    engine:
-        ``"batch"`` solves every replicate in one stacked multi-RHS solve
-        against the shared per-lambda factorization (the base fit's active
-        set seeds the batched KKT verification); ``"serial"`` runs one
-        warm-started fit per replicate (the reference path); ``"auto"``
-        (default) is ``"batch"``.  Both engines draw the replicate noise in
-        the same generator order, so they resample identical data sets and
-        agree to solver precision.
+        Seed or generator.  The base fit draws from it first (a kernel
+        build, k-fold folds), then each replicate's noise in replicate
+        order.
 
     Returns
     -------
@@ -135,10 +126,6 @@ def bootstrap_deconvolution(
     if num_replicates < 2:
         raise ValueError("num_replicates must be at least 2")
     check_in_range(coverage, "coverage", 0.0, 1.0, inclusive=False)
-    if engine == "auto":
-        engine = "batch"
-    if engine not in ("batch", "serial"):
-        raise ValueError(f"unknown bootstrap engine {engine!r}")
     generator = as_generator(rng)
     times = ensure_1d(times, "times")
     measurements = ensure_1d(measurements, "measurements")
@@ -150,41 +137,20 @@ def bootstrap_deconvolution(
 
     residuals = base.residuals
     centred = residuals - np.mean(residuals)
-    if engine == "batch":
-        # All replicate noise is drawn up front (in the exact generator order
-        # of the serial loop), then the whole family is one multi-RHS solve.
-        synthetic = np.empty((num_replicates, measurements.size))
-        for index in range(num_replicates):
-            if parametric:
-                noise = generator.normal(0.0, base.sigma)
-            else:
-                noise = generator.choice(centred, size=centred.size, replace=True)
-            synthetic[index] = base.fitted + noise
-        workspace = deconvolver.fit_workspace(times, sigma=sigma, rng=generator)
-        batch = workspace.template.solve_batch(
-            fixed_lam,
-            synthetic.T,
-            backend=deconvolver.solver_backend,
-            shared_active_set=base.solver_active_set,
-        )
-        replicate_profiles = batch.x @ deconvolver.basis.evaluate(phases).T
-    else:
-        replicate_profiles = np.empty((num_replicates, phases.size))
-        for index in range(num_replicates):
-            if parametric:
-                noise = generator.normal(0.0, base.sigma)
-            else:
-                noise = generator.choice(centred, size=centred.size, replace=True)
-            synthetic_row = base.fitted + noise
-            replicate = deconvolver.fit(
-                times,
-                synthetic_row,
-                sigma=sigma,
-                lam=fixed_lam,
-                rng=generator,
-                warm_start=base,
-            )
-            replicate_profiles[index] = replicate.profile(phases)
+    # All replicate noise is drawn up front, then the whole family is one
+    # multi-RHS solve.
+    synthetic = np.empty((num_replicates, measurements.size))
+    for index in range(num_replicates):
+        if parametric:
+            noise = generator.normal(0.0, base.sigma)
+        else:
+            noise = generator.choice(centred, size=centred.size, replace=True)
+        synthetic[index] = base.fitted + noise
+    workspace = deconvolver.fit_workspace(times, sigma=sigma, rng=generator)
+    batch = workspace.template.solve_batch(
+        fixed_lam, synthetic.T, shared_active_set=base.solver_active_set
+    )
+    replicate_profiles = batch.x @ deconvolver.basis.evaluate(phases).T
 
     tail = 0.5 * (1.0 - coverage)
     lower = np.quantile(replicate_profiles, tail, axis=0)

@@ -1,7 +1,7 @@
 """Sharded, budget-bounded pool of :class:`~repro.core.session.FitSession`.
 
 A long-lived fit service serves many deconvolver configurations (parameter
-sets, basis sizes, solver backends), each of which owns per-grid kernels and
+sets, basis sizes, constraints), each of which owns per-grid kernels and
 factorizations through its session.  :class:`SessionPool` shards those
 sessions by an opaque hashable *configuration key*: the first lease of a key
 builds a deconvolver through the caller-supplied factory (which typically
@@ -31,9 +31,9 @@ class SessionFactory:
 
     :class:`SessionPool` accepts any ``factory(key) -> Deconvolver``
     callable; this class is the common one.  It carries cell-cycle
-    parameters, basis size, constraint overrides, solver backend and
-    pre-built kernels as plain attributes (so it also pickles), and builds
-    the same configured deconvolver for every shard key.
+    parameters, basis size, constraint overrides and pre-built kernels as
+    plain attributes (so it also pickles), and builds the same configured
+    deconvolver for every shard key.
 
     Parameters
     ----------
@@ -43,8 +43,6 @@ class SessionFactory:
         Spline basis size.
     constraints:
         Constraint overrides (``None`` = the defaults).
-    solver_backend:
-        Solver backend passed through to the deconvolver.
     kernels:
         Pre-built kernels registered on every new session.
     """
@@ -55,13 +53,11 @@ class SessionFactory:
         parameters=None,
         num_basis: int | None = None,
         constraints=None,
-        solver_backend: str = "auto",
         kernels=(),
     ) -> None:
         self.parameters = parameters
         self.num_basis = num_basis
         self.constraints = constraints
-        self.solver_backend = solver_backend
         self.kernels = list(kernels)
 
     def __call__(self, _key: Hashable) -> "Deconvolver":
@@ -75,7 +71,6 @@ class SessionFactory:
             if self.num_basis is not None
             else config.DEFAULT_NUM_BASIS,
             constraints=self.constraints,
-            solver_backend=self.solver_backend,
         )
         session = deconvolver.session()
         for kernel in self.kernels:

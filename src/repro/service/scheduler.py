@@ -12,13 +12,12 @@ coalesces for free: when a solve ends, its runner takes everything queued
 meanwhile, merges it by compatibility key — same configuration shard,
 measurement grid and fit options — folds bit-exact repeats into one solve
 row and splits the distinct rows at ``max_batch``.  Each batch goes
-through the shard deconvolver's ``fit_many(engine="batch")`` against the
-shard session's warm caches — one stacked multi-RHS solve per
-distinct lambda, one shared GCV scoring pass for the whole batch — so the
-marginal cost per request is one gradient plus one row of a batched solve,
-while every response stays bit-identical (to 1e-10) to a direct
-:meth:`~repro.core.deconvolver.Deconvolver.fit` call (the session layer's
-tested guarantee).
+through the shard deconvolver's ``fit_many`` against the shard session's
+warm caches — one stacked multi-RHS solve, one shared GCV scoring pass for
+the whole batch — so the marginal cost per request is one gradient plus
+one row of a batched solve, while every response stays bit-identical (to
+1e-10) to a direct :meth:`~repro.core.deconvolver.Deconvolver.fit` call (the
+session layer's tested guarantee).
 
 The scheduler is SLO-aware and failure-contained:
 
@@ -253,12 +252,18 @@ class _Admission:
 def _grid_error(times: np.ndarray, sigma) -> str | None:
     """Why no request on this ``(times, sigma)`` grid can be solved, or ``None``.
 
-    ``sigma`` already broadcasts to ``times`` (the batch key checked it);
-    like :meth:`~repro.core.deconvolver.Deconvolver.fit`, it must also be
-    finite and positive.
+    ``times`` must be a non-empty 1-D grid of finite, non-negative minutes,
+    as the kernel build requires.  ``sigma`` already broadcasts to ``times``
+    (the batch key checked it); like
+    :meth:`~repro.core.deconvolver.Deconvolver.fit`, it must also be finite
+    and positive.
     """
     if times.ndim != 1:
         return f"times must be 1-D, got shape {times.shape}"
+    if times.size == 0:
+        return "times must not be empty"
+    if not (np.isfinite(times).all() and (times >= 0.0).all()):
+        return "times must be finite and >= 0"
     if sigma is not None:
         sigma = np.asarray(sigma, dtype=float)
         if not (np.isfinite(sigma).all() and (sigma > 0.0).all()):
@@ -985,8 +990,8 @@ class MicroBatchScheduler:
                     )
                     # All items share a batch key, so this is exactly one
                     # session bucket: dispatch it as a single fit_many call
-                    # (one stacked multi-RHS solve per distinct lambda)
-                    # against the shard's warm session caches.
+                    # (one stacked multi-RHS solve) against the shard's warm
+                    # session caches.
                     results = entry.deconvolver.fit_many(
                         first.times,
                         matrix,
@@ -997,7 +1002,6 @@ class MicroBatchScheduler:
                         lambda_method=first.lambda_method,
                         lambda_grid=first.lambda_grid,
                         rng=first.rng,
-                        engine="batch",
                     )
                 self._observe_solve(time.perf_counter() - start, len(to_solve))
                 breaker.record_success()

@@ -1,10 +1,9 @@
 """Batched results are lazy views: a column's sibling problem is built on demand.
 
-``fit_many``'s batch engine gives each result its coefficients, a private
-copy of its measurement row and the shared template problem.  The sibling
-problem behind the lazy diagnostics is built only when one is first read
-(k-fold selection and the one-column solve still build theirs up front,
-because they solve on it).  The diagnostics must equal what a sibling built
+``fit_many`` gives each result its coefficients, a private copy of its
+measurement row and the shared template problem.  The sibling problem
+behind the lazy diagnostics is built only when one is first read (k-fold
+selection still builds its siblings up front, because it solves on them).  The diagnostics must equal what a sibling built
 eagerly gives, pickling and ``detach`` must still produce self-contained
 results, and a released result that never read a diagnostic must not pin
 the template's solver caches.
@@ -91,10 +90,10 @@ def test_no_sibling_until_a_diagnostic_is_read(deconvolver, matrix, sibling_call
 
 def test_siblings_built_where_a_solve_needs_them(deconvolver, matrix, sibling_calls):
     times = deconvolver.kernel.times
-    deconvolver.fit_many(times, matrix[:, :1], lam=1e-2)  # the one-column solve
-    assert len(sibling_calls) == 1
+    deconvolver.fit_many(times, matrix[:, :1], lam=1e-2)  # a one-row stacked solve
+    assert len(sibling_calls) == 0
     deconvolver.fit_many(times, matrix[:, :3], lambda_method="kfold")
-    assert len(sibling_calls) == 1 + 3
+    assert len(sibling_calls) == 3
 
 
 def test_results_do_not_share_rows_with_the_caller(deconvolver, matrix):

@@ -67,7 +67,7 @@ class TestProblemAssembly:
         assert problem.roughness(large_lam.x) <= problem.roughness(small_lam.x) + 1e-9
         assert problem.data_misfit(large_lam.x) >= problem.data_misfit(small_lam.x) - 1e-9
 
-    def test_solver_backends_agree(self, forward, measurements):
+    def test_qp_backends_agree(self, forward, measurements):
         problem = DeconvolutionProblem(forward, measurements, constraints=default_constraints())
         ours = problem.solve(1e-3, backend="active_set")
         scipy_result = problem.solve(1e-3, backend="scipy")

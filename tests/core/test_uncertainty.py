@@ -91,65 +91,51 @@ class TestBootstrapOptions:
             bootstrap_deconvolution(
                 deconvolver, small_kernel.times, values, sigma=sigma, coverage=1.5
             )
-        with pytest.raises(ValueError):
-            bootstrap_deconvolution(
-                deconvolver, small_kernel.times, values, sigma=sigma, engine="warp"
-            )
 
 
 class TestBootstrapEngines:
     @pytest.mark.parametrize("parametric", [True, False])
     def test_batch_equals_serial_replicates(
-        self, small_kernel, paper_parameters, noisy_data, parametric
+        self, small_kernel, paper_parameters, noisy_data, parametric, certify
     ):
-        """Batch and serial engines resample identical data sets and agree.
+        """The stacked replicate solve equals one fit per replicate.
 
-        Both engines draw the replicate noise in the same generator order, so
-        the synthetic measurement matrices are identical; the stacked
-        multi-RHS solve then matches the warm-started per-replicate solves to
-        solver precision.
+        The reference redraws the replicate data sets in the bootstrap's own
+        generator order (base fit first, then one draw per replicate), fits
+        each with :meth:`Deconvolver.fit` and certifies it; the bootstrap's
+        replicate profiles must match those fits to 1e-10.
         """
         _, values, sigma = noisy_data
-        kwargs = dict(
+        times = small_kernel.times
+        num_replicates, phases = 12, np.linspace(0.0, 1.0, 61)
+        band = bootstrap_deconvolution(
+            Deconvolver(small_kernel, parameters=paper_parameters, num_basis=10),
+            times,
+            values,
             sigma=sigma,
             lam=1e-3,
-            num_replicates=12,
+            num_replicates=num_replicates,
             parametric=parametric,
-            num_phase_points=61,
+            num_phase_points=phases.size,
             rng=3,
         )
-        batch = bootstrap_deconvolution(
-            Deconvolver(small_kernel, parameters=paper_parameters, num_basis=10),
-            small_kernel.times,
-            values,
-            engine="batch",
-            **kwargs,
-        )
-        serial = bootstrap_deconvolution(
-            Deconvolver(small_kernel, parameters=paper_parameters, num_basis=10),
-            small_kernel.times,
-            values,
-            engine="serial",
-            **kwargs,
-        )
-        np.testing.assert_allclose(batch.replicates, serial.replicates, atol=1e-10)
-        np.testing.assert_allclose(batch.lower, serial.lower, atol=1e-10)
-        np.testing.assert_allclose(batch.upper, serial.upper, atol=1e-10)
 
-    def test_auto_engine_is_batch(self, small_kernel, paper_parameters, noisy_data):
-        _, values, sigma = noisy_data
-        kwargs = dict(sigma=sigma, lam=1e-3, num_replicates=6, num_phase_points=41, rng=5)
-        auto = bootstrap_deconvolution(
-            Deconvolver(small_kernel, parameters=paper_parameters, num_basis=10),
-            small_kernel.times,
-            values,
-            **kwargs,
-        )
-        batch = bootstrap_deconvolution(
-            Deconvolver(small_kernel, parameters=paper_parameters, num_basis=10),
-            small_kernel.times,
-            values,
-            engine="batch",
-            **kwargs,
-        )
-        np.testing.assert_array_equal(auto.replicates, batch.replicates)
+        serial = Deconvolver(small_kernel, parameters=paper_parameters, num_basis=10)
+        generator = np.random.default_rng(3)
+        base = serial.fit(times, values, sigma=sigma, lam=1e-3, rng=generator)
+        assert band.base_result.lam == base.lam
+        centred = base.residuals - np.mean(base.residuals)
+        for index in range(num_replicates):
+            if parametric:
+                noise = generator.normal(0.0, base.sigma)
+            else:
+                noise = generator.choice(centred, size=centred.size, replace=True)
+            synthetic = base.fitted + noise
+            replicate = serial.fit(times, synthetic, sigma=sigma, lam=base.lam, rng=generator)
+            assert replicate.lam == base.lam
+            program = serial.build_problem(times, synthetic, sigma=sigma).quadratic_program(
+                replicate.lam
+            )
+            certify(program, replicate.coefficients, replicate.solver_active_set)
+            gap = np.max(np.abs(band.replicates[index] - replicate.profile(phases)))
+            assert gap <= 1e-10

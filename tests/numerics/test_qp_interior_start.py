@@ -30,35 +30,6 @@ import repro
 from repro.numerics.qp import QPWorkspace, QuadraticProgram
 
 
-def certify(program: QuadraticProgram, x: np.ndarray, active_set, tol: float = 1e-7) -> None:
-    """Check the KKT conditions of ``x`` from the QP data alone.
-
-    Primal feasibility of every row; multipliers of the equality rows and of
-    the reported active inequality rows by least squares on the stationarity
-    condition ``H x + g = A_eq^T y + A_act^T z``; a small stationarity
-    residual; ``z >= 0``; and complementarity ``z_i * slack_i = 0``.
-    """
-    n = program.num_variables
-    eq = program.eq_matrix if program.eq_matrix is not None else np.zeros((0, n))
-    b_eq = program.eq_vector if program.eq_vector is not None else np.zeros(0)
-    ineq = program.ineq_matrix if program.ineq_matrix is not None else np.zeros((0, n))
-    b_in = program.ineq_vector if program.ineq_vector is not None else np.zeros(0)
-    scale = 1.0 + np.abs(x).max()
-    slack = ineq @ x - b_in
-    assert np.all(np.abs(eq @ x - b_eq) <= tol * scale), "equality violated"
-    assert np.all(slack >= -tol * scale), "inequality violated"
-
-    active = np.asarray(active_set, dtype=int)
-    gradient = program.hessian @ x + program.gradient
-    rows = np.vstack([eq, ineq[active]])
-    multipliers = np.linalg.lstsq(rows.T, gradient, rcond=None)[0]
-    residual = gradient - rows.T @ multipliers
-    assert np.abs(residual).max() <= tol * (1.0 + np.abs(gradient).max()), "not stationary"
-    on_active = multipliers[eq.shape[0]:]
-    assert np.all(on_active >= -tol * (1.0 + np.abs(multipliers).max(initial=0.0))), "wrong multiplier sign"
-    assert np.all(np.abs(on_active * slack[active]) <= tol * scale), "not complementary"
-
-
 def cone_program(rng, n: int, grid_size: int, num_eq: int) -> QuadraticProgram:
     """Random strictly convex QP over a homogeneous spline-like cone.
 
@@ -95,7 +66,7 @@ def cone_programs(draw):
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(program=cone_programs())
-def test_interior_start_matches_origin_start(program):
+def test_interior_start_matches_origin_start(program, certify):
     workspace = QPWorkspace(program)
     reference = workspace.solve(x0=np.zeros(program.num_variables))
     result = workspace.solve()
