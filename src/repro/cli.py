@@ -108,7 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fraction of requests that bit-exactly repeat an earlier one")
     serve.add_argument("--selection-fraction", type=float, default=0.05,
                        help="fraction of fresh requests using automatic lambda selection")
-    serve.add_argument("--max-batch", type=int, default=64, help="scheduler batch size bound")
+    serve.add_argument("--max-batch", type=int, default=None,
+                       help="split each key block into stacked solves of at most this many "
+                            "distinct rows (default: one solve per block)")
     serve.add_argument("--workers", type=int, default=2, help="scheduler worker threads")
     serve.add_argument(
         "--scenario",
@@ -142,7 +144,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="Monte-Carlo founder cells per kernel")
     server.add_argument("--grids", type=int, default=2,
                         help="distinct measurement time grids to register")
-    server.add_argument("--max-batch", type=int, default=64, help="scheduler batch size bound")
+    server.add_argument("--max-batch", type=int, default=None,
+                        help="split each key block into stacked solves of at most this many "
+                             "distinct rows (default: one solve per block)")
     server.add_argument("--workers", type=int, default=2, help="scheduler worker threads")
     return parser
 

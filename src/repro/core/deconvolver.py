@@ -255,11 +255,10 @@ class Deconvolver:
         factorizations *and* the lambda search's eigendecompositions (the GCV
         pencil, the k-fold per-fold plans) through one :class:`FitWorkspace`
         and its template problem.  After lambda selection, every column is
-        one row of a single stacked
+        one row of a single
         :meth:`~repro.core.problem.DeconvolutionProblem.solve_mixed` call: one
-        multi-RHS solve when the columns share one lambda, one eig-basis pass
-        over all of them otherwise.  The active-set loop only runs for the
-        columns where positivity binds differently.
+        multi-RHS solve per distinct lambda.  The active-set loop only runs
+        for the columns where positivity binds differently.
 
         Parameters
         ----------
@@ -311,7 +310,7 @@ class Deconvolver:
         paths: list[dict[float, float]] = []
         unselected = [column for column, value in enumerate(requested) if value is None]
         if len(unselected) > 1 and lambda_method == "gcv":
-            # The whole batch is GCV-scored in one matrix pass off the shared
+            # The whole batch is GCV-scored in one tensor pass off the shared
             # eigendecomposition; see generalized_cross_validation_batch.
             grid = default_lambda_grid() if lambda_grid is None else check_lambda_grid(lambda_grid)
             selections = iter(

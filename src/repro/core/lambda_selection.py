@@ -159,46 +159,76 @@ def _gcv_eig_pieces(
     return problem.selection_cache("gcv_eig", build)
 
 
-def _gcv_scores_eig(
-    problem: DeconvolutionProblem, lambdas: np.ndarray
-) -> dict[float, float]:
-    """GCV scores from a one-time generalised eigendecomposition.
+def _gcv_score_table(
+    problem: DeconvolutionProblem, matrix: np.ndarray, lambdas: np.ndarray
+) -> np.ndarray:
+    """GCV scores of every candidate for every column, in one tensor pass.
 
     With ``M = A^T W A + ridge I`` and the pencil ``Omega v = mu M v``
     (eigenvectors ``V`` normalised so ``V^T M V = I``), the smoother for any
-    ``lambda`` is ``S = A V diag(1 / (1 + lambda mu)) V^T A^T W``.  Its trace
-    and the fitted values then cost ``O(Nm * Nc)`` per candidate instead of a
-    dense ``Nm x Nm`` build.  Raises ``LinAlgError`` when ``M`` is not
-    positive definite (caller falls back to the dense path).
+    ``lambda`` is ``S = A V diag(1 / (1 + lambda mu)) V^T A^T W``.  The shrink
+    factors of all ``L`` candidates form one ``(L, Nc)`` array; the trace
+    terms are one GEMV against the per-mode trace weights and the fitted
+    values of every candidate and column one batched matmul, so a grid costs
+    ``O(L * Nm * Nc * S)`` vector work and no per-candidate Python loop.  A
+    candidate whose pencil is numerically indefinite (some ``1 + lambda mu``
+    not positive) is scored by the dense smoother instead, column by column.
+
+    Parameters
+    ----------
+    problem:
+        Template problem of the family (its measurements are ignored);
+        supplies the cached eigendecomposition pieces and weights.
+    matrix:
+        Measurement vectors, shape ``(Nm, S)``.
+    lambdas:
+        Candidate smoothing parameters, shape ``(L,)``.
+
+    Returns
+    -------
+    numpy.ndarray
+        Scores, shape ``(L, S)``; ``inf`` where ``trace(I - S) <= 1e-9``.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        When ``M`` is not positive definite (callers fall back to the dense
+        path).
     """
-    weights = 1.0 / problem.sigma**2
     mu, vectors, trace_weights, modes = _gcv_eig_pieces(problem)
-
-    measurements = problem.measurements
-    num_measurements = measurements.size
-    projections = vectors.T @ (problem.weighted_design.T @ measurements)
-
-    scores: dict[float, float] = {}
-    for lam in lambdas:
-        shrink_denominator = 1.0 + float(lam) * mu
-        if np.any(shrink_denominator <= 0.0):
-            # Numerically indefinite pencil for this lambda; defer to the
-            # dense path for a trustworthy score.
-            scores[float(lam)] = _gcv_scores_dense(problem, np.array([float(lam)]))[
-                float(lam)
-            ]
-            continue
-        shrink = 1.0 / shrink_denominator
-        trace = float(trace_weights @ shrink)
-        fitted = modes @ (shrink * projections)
-        trace_term = num_measurements - trace
-        if trace_term <= 1e-9:
-            scores[float(lam)] = np.inf
-            continue
-        residual = measurements - fitted
-        numerator = num_measurements * float(np.sum(weights * residual**2))
-        scores[float(lam)] = numerator / trace_term**2
+    weights = 1.0 / problem.sigma**2
+    num_measurements, num_columns = matrix.shape
+    scores = np.empty((lambdas.size, num_columns))
+    denominators = 1.0 + lambdas[:, None] * mu[None, :]
+    definite = np.all(denominators > 0.0, axis=1)
+    if definite.any():
+        shrink = 1.0 / denominators[definite]
+        trace_terms = num_measurements - shrink @ trace_weights
+        projections = vectors.T @ (problem.weighted_design.T @ matrix)
+        residuals = matrix - modes @ (shrink[:, :, None] * projections[None, :, :])
+        numerators = num_measurements * np.sum(weights[:, None] * residuals**2, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores[definite] = np.where(
+                trace_terms[:, None] > 1e-9, numerators / trace_terms[:, None] ** 2, np.inf
+            )
+    for row in np.flatnonzero(~definite).tolist():
+        lam = np.array([float(lambdas[row])])
+        scores[row] = [
+            _gcv_scores_dense(problem.with_measurements(matrix[:, column]), lam)[float(lam[0])]
+            for column in range(num_columns)
+        ]
     return scores
+
+
+def _gcv_scores_eig(
+    problem: DeconvolutionProblem, lambdas: np.ndarray
+) -> dict[float, float]:
+    """GCV scores of the problem's own measurements: a one-column
+    :func:`_gcv_score_table`.  Raises ``LinAlgError`` when the
+    eigendecomposition is degenerate (caller falls back to the dense path).
+    """
+    scores = _gcv_score_table(problem, problem.measurements[:, None], lambdas)[:, 0]
+    return {float(lam): float(score) for lam, score in zip(lambdas, scores)}
 
 
 def generalized_cross_validation_batch(
@@ -208,15 +238,11 @@ def generalized_cross_validation_batch(
 ) -> list[LambdaSelectionResult]:
     """GCV-select a lambda for every column of a measurement matrix at once.
 
-    The score pieces that depend on the measurements are matrix-shaped
-    versions of :func:`_gcv_scores_eig`'s vector work: one projection GEMM
-    up front and one reconstruction GEMM per candidate, regardless of the
-    number of species.  A multi-species batch therefore pays essentially one
-    species' scoring cost for the whole matrix.  Scores may differ from the
-    per-species path in the last floating-point digits (BLAS kernels are
-    shape dependent), which is orders of magnitude below the score gaps of
-    a log-spaced candidate grid; the selected lambdas are verified equal in
-    the equivalence tests.
+    Every column is scored by the same tensor pass
+    (:func:`_gcv_score_table`) that :func:`generalized_cross_validation`
+    runs on one column: one projection GEMM, one GEMV for the trace terms
+    and one batched matmul for the fitted values of every candidate, off the
+    family's shared eigendecomposition.
 
     Parameters
     ----------
@@ -239,45 +265,16 @@ def generalized_cross_validation_batch(
     if matrix.ndim != 2:
         raise ValueError("measurement_matrix must be two-dimensional")
     try:
-        mu, vectors, trace_weights, modes = _gcv_eig_pieces(problem)
+        score_table = _gcv_score_table(problem, matrix, lambdas)
     except np.linalg.LinAlgError:
         return [
             generalized_cross_validation(problem.with_measurements(matrix[:, column]), lambdas)
             for column in range(matrix.shape[1])
         ]
-    weights = 1.0 / problem.sigma**2
-    num_measurements, num_species = matrix.shape
-    projections = vectors.T @ (problem.weighted_design.T @ matrix)
-    score_rows: list[np.ndarray] = []
-    for lam in lambdas:
-        shrink_denominator = 1.0 + float(lam) * mu
-        if np.any(shrink_denominator <= 0.0):
-            # Indefinite pencil for this candidate: defer to the dense
-            # per-species scorer, exactly like the vector path.
-            score_rows.append(
-                np.array(
-                    [
-                        _gcv_scores_dense(
-                            problem.with_measurements(matrix[:, column]),
-                            np.array([float(lam)]),
-                        )[float(lam)]
-                        for column in range(num_species)
-                    ]
-                )
-            )
-            continue
-        shrink = 1.0 / shrink_denominator
-        trace_term = num_measurements - float(trace_weights @ shrink)
-        if trace_term <= 1e-9:
-            score_rows.append(np.full(num_species, np.inf))
-            continue
-        residuals = matrix - modes @ (shrink[:, None] * projections)
-        numerators = num_measurements * np.sum(weights[:, None] * residuals**2, axis=0)
-        score_rows.append(numerators / trace_term**2)
-    score_table = np.vstack(score_rows)
+    candidates = lambdas.tolist()
     selections: list[LambdaSelectionResult] = []
-    for column in range(num_species):
-        scores = {float(lam): float(score_table[row, column]) for row, lam in enumerate(lambdas)}
+    for column_scores in score_table.T.tolist():
+        scores = dict(zip(candidates, column_scores))
         best = min(scores, key=scores.get)
         selections.append(LambdaSelectionResult(best_lambda=best, scores=scores, method="gcv"))
     return selections

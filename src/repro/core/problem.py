@@ -34,7 +34,6 @@ from repro.core.constraints import Constraint, ConstraintSet, build_constraint_s
 from repro.core.forward import ForwardModel
 from repro.numerics.qp import (
     BatchQPResult,
-    MixedLambdaEigPlan,
     QPResult,
     QPWorkspace,
     QuadraticProgram,
@@ -385,41 +384,30 @@ class DeconvolutionProblem:
         shared_active_set: Sequence[int] | None = None,
         tol: float = 1e-9,
     ) -> BatchQPResult:
-        """Solve one mixed-lambda batch in a single stacked eig-basis pass.
+        """Solve a batch whose columns may each have their own lambda.
 
-        :meth:`solve_batch` requires every column to share one lambda, so a
-        mixed-lambda micro-batch costs one call (one per-lambda
-        factorization, ~0.1 ms of fixed overhead) per distinct lambda.  This
-        method diagonalizes the shared shifted pencil once
-        (:class:`~repro.numerics.qp.MixedLambdaEigPlan`, cached across calls
-        via :meth:`selection_cache`) and solves *all* columns — each with its
-        own lambda and measurements — in one stacked KKT pass per candidate
-        working set.  Columns whose positivity pattern matches no candidate
-        set, or whose lambda is too far from the pencil shift for full
-        accuracy, fall back to the per-group :meth:`solve_batch` path, so
-        every returned row is either a verified-KKT exact optimum or the
-        product of the unchanged active-set solver.  A batch with one
-        distinct lambda is one :meth:`solve_batch` call (measured faster than
-        the eig-basis pass on one lambda); a batch of no columns returns an
-        empty result.
+        :meth:`solve_batch` requires every column to share one lambda, so
+        the columns are grouped by distinct lambda and each group is one
+        :meth:`solve_batch` call; the group results are scattered back into
+        column order.  Every row is therefore exactly the row its group's
+        :meth:`solve_batch` returns.  A batch with one distinct lambda is
+        that one call; a batch of no columns returns an empty result.
 
         Parameters
         ----------
         lams:
-            Per-column smoothing parameters, length ``num_problems`` (all
-            strictly positive; otherwise the per-group path runs).
+            Per-column smoothing parameters, length ``num_problems``.
         measurement_matrix:
             Measurement vectors, shape ``(num_measurements, num_problems)``.
         shared_active_set:
-            Working-set hint tried first in the stacked pass.
+            Working-set hint handed to every group's :meth:`solve_batch`.
         tol:
             Verification and active-set tolerance.
 
         Returns
         -------
         BatchQPResult
-            Stacked solutions in column order; ``fallback`` marks the rows
-            that went through the per-group path.
+            Stacked solutions in column order.
         """
         matrix = np.asarray(measurement_matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != self.measurements.size:
@@ -429,48 +417,11 @@ class DeconvolutionProblem:
         lams = np.asarray(list(lams), dtype=float)
         if lams.shape != (matrix.shape[1],):
             raise ValueError("lams must provide one lambda per measurement column")
-        distinct = np.unique(lams)
+        distinct, inverse = np.unique(lams, return_inverse=True)
         if distinct.size == 1:
             return self.solve_batch(
-                float(distinct[0]),
-                matrix,
-                shared_active_set=shared_active_set,
-                tol=tol,
+                float(distinct[0]), matrix, shared_active_set=shared_active_set, tol=tol
             )
-        plan: MixedLambdaEigPlan | None = None
-        # No column, no plan: the arrays below are then the empty result.
-        if distinct.size and np.all(distinct > 0.0):
-            # Quantize the shift to half-decades around the batch's geometric
-            # mean so batches drawn from a stable lambda population reuse one
-            # cached plan (and its remembered working sets).  Each quantized
-            # shift has its own slot: traffic alternating between lambda
-            # populations (fixed-lambda and selected batches, say) would
-            # otherwise evict and rebuild the plan on every switch.
-            log_shift = round(2.0 * float(np.mean(np.log10(distinct)))) / 2.0
-            try:
-                plan = self.selection_cache(
-                    ("mixed_lambda_plan", log_shift),
-                    lambda: MixedLambdaEigPlan(
-                        self.gram,
-                        self.penalty,
-                        self.ridge,
-                        10.0**log_shift,
-                        eq_matrix=self.constraint_set.equality_matrix
-                        if self.constraint_set.has_equalities
-                        else None,
-                        eq_vector=self.constraint_set.equality_vector
-                        if self.constraint_set.has_equalities
-                        else None,
-                        ineq_matrix=self.constraint_set.inequality_matrix
-                        if self.constraint_set.has_inequalities
-                        else None,
-                        ineq_vector=self.constraint_set.inequality_vector
-                        if self.constraint_set.has_inequalities
-                        else None,
-                    ),
-                )
-            except np.linalg.LinAlgError:
-                plan = None
         num_problems = matrix.shape[1]
         x = np.zeros((num_problems, self.num_coefficients))
         objectives = np.zeros(num_problems)
@@ -478,49 +429,18 @@ class DeconvolutionProblem:
         converged = np.zeros(num_problems, dtype=bool)
         active_sets: list[list[int]] = [[] for _ in range(num_problems)]
         fallback = np.zeros(num_problems, dtype=bool)
-        solved = np.zeros(num_problems, dtype=bool)
-        if plan is not None:
-            gradients = np.ascontiguousarray((-2.0 * (self.weighted_design.T @ matrix)).T)
-            try:
-                stacked_x, stacked_obj, stacked_sets = plan.solve(
-                    lams, gradients, guess=shared_active_set, tol=tol
-                )
-            except np.linalg.LinAlgError:
-                stacked_x, stacked_obj = x, objectives
-                stacked_sets = [None] * num_problems
-            solved[:] = [active is not None for active in stacked_sets]
-            x[solved] = stacked_x[solved]
-            objectives[solved] = stacked_obj[solved]
-            iterations[solved] = 1
-            converged[solved] = True
-            active_sets = [[] if active is None else sorted(active) for active in stacked_sets]
-        # Per-group active-set fallback for the rows the stacked pass could
-        # not confirm (a different positivity pattern binds, or accuracy
-        # guards tripped) — identical to the pre-stacked per-group sweep,
-        # with warm active-set chaining across groups.
-        shared = list(shared_active_set) if shared_active_set is not None else None
-        for lam in sorted({float(value) for value in lams[~solved]}, reverse=True):
-            columns = [
-                index
-                for index in range(num_problems)
-                if not solved[index] and float(lams[index]) == lam
-            ]
-            group = self.solve_batch(
-                lam,
-                matrix[:, columns],
-                shared_active_set=shared,
-                tol=tol,
+        for group, lam in enumerate(distinct):
+            columns = np.flatnonzero(inverse == group)
+            batch = self.solve_batch(
+                float(lam), matrix[:, columns], shared_active_set=shared_active_set, tol=tol
             )
-            for row, index in enumerate(columns):
-                x[index] = group.x[row]
-                objectives[index] = group.objectives[row]
-                iterations[index] = group.iterations[row]
-                converged[index] = group.converged[row]
-                active_sets[index] = list(group.active_sets[row])
-                fallback[index] = True
-            shared = list(group.active_sets[-1]) or shared
-            if plan is not None and group.active_sets[-1]:
-                plan.remember(group.active_sets[-1])
+            x[columns] = batch.x
+            objectives[columns] = batch.objectives
+            iterations[columns] = batch.iterations
+            converged[columns] = batch.converged
+            fallback[columns] = batch.fallback
+            for row, column in enumerate(columns.tolist()):
+                active_sets[column] = batch.active_sets[row]
         return BatchQPResult(
             x=x,
             objectives=objectives,

@@ -51,7 +51,9 @@ class DeconvolutionResult:
     solver_converged:
         Whether the QP solver reported convergence.
     solver_iterations:
-        Iterations used by the QP solver.
+        Active-set iterations spent on this row: the cold solve's count,
+        and 0 when a batched solve's stacked KKT check verified the row.
+        It depends on the path a fit took, not only on its answer.
     lambda_path:
         Optional record of the lambda-selection scores (lambda -> score).
     mean_cycle_time:

@@ -916,9 +916,7 @@ def kkt_solve_diagonal_batch(
     gradient:
         Linear term ``q``: shape ``(n,)`` when all problems share one
         gradient (the CV case: one species scored across a lambda grid), or
-        shape ``(num_problems, n)`` for one gradient per row (the mixed-
-        lambda micro-batch case: each species brings its own measurements
-        *and* its own lambda).
+        shape ``(num_problems, n)`` for one gradient per row.
     columns:
         Working-set constraint rows ``C``, shape ``(k, n)`` — equality rows
         first, then the inequality rows pinned active.
@@ -954,202 +952,6 @@ def kkt_solve_diagonal_batch(
     multipliers = np.linalg.solve(schur, residual[..., None])[..., 0]
     solutions = unconstrained + np.einsum("lk,lkc->lc", multipliers, scaled)
     return solutions, multipliers[:, int(num_equalities):]
-
-
-class MixedLambdaEigPlan:
-    """Cross-lambda stacked solver in the shared shifted-pencil eigenbasis.
-
-    A mixed-lambda micro-batch (one measurement vector *and* one lambda per
-    species, all on the same design) used to cost one ``solve_batch`` per
-    distinct lambda, and the ~0.1 ms fixed cost per group was the per-batch
-    floor.  This plan removes the per-lambda factorizations: diagonalize the
-    pencil ``(Omega, A^T W A + ridge/2 + c * Omega)`` **once** — the ``B``
-    matrix is the halved Hessian at the shift ``c``, positive definite and
-    well conditioned when ``c`` sits mid-grid — and every lambda's Hessian
-    becomes diagonal in the shared eigenbasis::
-
-        V^T H(lam) V = diag(2 * (1 + (lam - c) * mu))
-
-    so one mixed-lambda batch is a single stacked
-    :func:`kkt_solve_diagonal_batch` call per candidate working set.  Rows
-    whose positivity pattern matches none of the candidate sets are returned
-    as rejected; the caller falls back to the per-group active-set path for
-    exactly those rows.  This is the same numerical trick
-    ``KFoldEigPlan`` uses per CV fold, applied to the full (un-folded)
-    problem with per-row gradients.
-
-    Accepted rows are *exact* optima of their working set's KKT system with
-    verified primal/dual feasibility (same margins as the active-set
-    verifier), so the stacked path agrees with the per-group path to solver
-    tolerance — the repo-wide 1e-10 equivalence gate holds across both.
-
-    Parameters
-    ----------
-    gram:
-        Weighted Gram matrix ``A^T W A`` (symmetrized), shape ``(n, n)``.
-    penalty:
-        Roughness penalty ``Omega``, shape ``(n, n)``.
-    ridge:
-        Ridge term added to the Hessian diagonal.
-    shift:
-        Pencil shift ``c`` — pick the geometric mean of the batch's lambdas
-        so ``|log(lam / c)|`` stays small across the batch.
-    eq_matrix, eq_vector:
-        Equality constraint rows ``A_eq x = b_eq`` (may be empty).
-    ineq_matrix, ineq_vector:
-        Inequality constraint rows ``A_in x >= b_in`` (may be empty).
-
-    Raises
-    ------
-    numpy.linalg.LinAlgError
-        If the shifted pencil is not positive definite (caller falls back to
-        the per-group path).
-    """
-
-    #: Working sets remembered across calls (most recently confirmed first).
-    MAX_REMEMBERED = 4
-
-    def __init__(
-        self,
-        gram: np.ndarray,
-        penalty: np.ndarray,
-        ridge: float,
-        shift: float,
-        eq_matrix: Optional[np.ndarray] = None,
-        eq_vector: Optional[np.ndarray] = None,
-        ineq_matrix: Optional[np.ndarray] = None,
-        ineq_vector: Optional[np.ndarray] = None,
-    ) -> None:
-        from scipy.linalg import eigh
-
-        num_coefficients = gram.shape[0]
-        shifted = gram + 0.5 * float(ridge) * np.eye(num_coefficients)
-        shifted += float(shift) * penalty
-        self.shift = float(shift)
-        self.mu, self.vectors = eigh(penalty, shifted)
-        if eq_matrix is not None and eq_matrix.size:
-            self.eq_columns = eq_matrix @ self.vectors
-            self.eq_vector = np.asarray(eq_vector, dtype=float)
-        else:
-            self.eq_columns = np.zeros((0, num_coefficients))
-            self.eq_vector = np.zeros(0)
-        if ineq_matrix is not None and ineq_matrix.size:
-            self.ineq_columns = ineq_matrix @ self.vectors
-            self.ineq_vector = np.asarray(ineq_vector, dtype=float)
-        else:
-            self.ineq_columns = np.zeros((0, num_coefficients))
-            self.ineq_vector = np.zeros(0)
-        # Primal feasibility margin per inequality row (same convention as
-        # the active-set verifier: tol * (1 + |b|)).
-        self._ineq_scale = 1.0 + np.abs(self.ineq_vector)
-        self._remembered: list[tuple[int, ...]] = []
-
-    def diagonals(self, lams: np.ndarray) -> np.ndarray:
-        """Per-lambda Hessian diagonals ``2 (1 + (lam - c) mu)``.
-
-        Raises :class:`numpy.linalg.LinAlgError` when any diagonal is not
-        strictly positive (a lambda too far from the shift for this pencil).
-        """
-        lams = np.asarray(lams, dtype=float)
-        diagonals = 2.0 * (1.0 + (lams[:, None] - self.shift) * self.mu[None, :])
-        if not np.all(diagonals > 0.0) or not np.all(np.isfinite(diagonals)):
-            raise np.linalg.LinAlgError("indefinite shifted pencil for this lambda batch")
-        return diagonals
-
-    def to_eigenbasis(self, gradients: np.ndarray) -> np.ndarray:
-        """Map per-row gradients ``(k, n)`` into eigenbasis coordinates."""
-        return gradients @ self.vectors
-
-    def remember(self, active_set: Sequence[int]) -> None:
-        """Record a confirmed working set (front of the candidate queue)."""
-        key = tuple(sorted(int(index) for index in active_set))
-        if key in self._remembered:
-            self._remembered.remove(key)
-        self._remembered.insert(0, key)
-        del self._remembered[self.MAX_REMEMBERED :]
-
-    def candidate_sets(self, guess: Optional[Sequence[int]]) -> list[tuple[int, ...]]:
-        """Working sets to try, in order: guess, remembered sets, empty."""
-        candidates: list[tuple[int, ...]] = []
-        if guess is not None:
-            candidates.append(tuple(sorted(int(index) for index in guess)))
-        for key in self._remembered:
-            if key not in candidates:
-                candidates.append(key)
-        if () not in candidates:
-            candidates.append(())
-        return candidates
-
-    def solve(
-        self,
-        lams: np.ndarray,
-        gradients: np.ndarray,
-        *,
-        guess: Optional[Sequence[int]] = None,
-        tol: float = 1e-9,
-    ) -> tuple[np.ndarray, np.ndarray, list[Optional[list[int]]]]:
-        """Stacked solve of ``min 0.5 x^T H(lam_l) x + g_l^T x`` per row.
-
-        Tries each candidate working set (equalities plus pinned positivity
-        rows) in one stacked KKT pass over the rows still unsolved, keeping
-        the rows whose optimum verifies primal feasibility across *all*
-        inequalities and dual feasibility on the pinned rows.
-
-        Returns
-        -------
-        tuple
-            ``(solutions, objectives, active_sets)``: solutions in the
-            original basis, shape ``(k, n)``; objective values, shape
-            ``(k,)``; and the per-row confirmed working set, or ``None``
-            for rows no candidate set solved (caller falls back).
-        """
-        lams = np.asarray(lams, dtype=float)
-        diagonals = self.diagonals(lams)
-        gradients_z = self.to_eigenbasis(np.asarray(gradients, dtype=float))
-        num_rows = lams.shape[0]
-        num_eq = self.eq_columns.shape[0]
-        solutions_z = np.zeros_like(gradients_z)
-        active_sets: list[Optional[list[int]]] = [None] * num_rows
-        # Cancellation guard: a diagonal entry is computed as
-        # ``1 + (lam - c) mu`` and loses digits when the product approaches
-        # -1; rows where the worst relative rounding in any entry could move
-        # the solution past ~1e-12 are sent to the exact per-group fallback
-        # instead of risking the repo-wide 1e-10 equivalence gate.
-        rounding = np.finfo(float).eps * (
-            2.0 + 2.0 * np.abs(lams[:, None] - self.shift) * np.abs(self.mu)[None, :]
-        )
-        well_conditioned = np.all(rounding <= 1e-12 * diagonals, axis=1)
-        pending = np.flatnonzero(well_conditioned)
-        for candidate in self.candidate_sets(guess):
-            if pending.size == 0:
-                break
-            pinned = list(candidate)
-            columns = np.vstack([self.eq_columns, self.ineq_columns[pinned]])
-            rhs = np.concatenate([self.eq_vector, self.ineq_vector[pinned]])
-            try:
-                trial, multipliers = kkt_solve_diagonal_batch(
-                    diagonals[pending], gradients_z[pending], columns, rhs, num_eq
-                )
-            except np.linalg.LinAlgError:
-                continue  # dependent working set: try the next candidate
-            accepted = np.ones(pending.size, dtype=bool)
-            if self.ineq_columns.shape[0]:
-                slack = trial @ self.ineq_columns.T - self.ineq_vector[None, :]
-                accepted &= np.all(slack >= -tol * self._ineq_scale[None, :], axis=1)
-            if multipliers.shape[1]:
-                accepted &= np.all(multipliers >= -tol, axis=1)
-            if not np.any(accepted):
-                continue
-            taken = pending[accepted]
-            solutions_z[taken] = trial[accepted]
-            for row in taken:
-                active_sets[row] = pinned
-            self.remember(pinned)
-            pending = pending[~accepted]
-        objectives = 0.5 * np.einsum("kn,kn,kn->k", diagonals, solutions_z, solutions_z)
-        objectives += np.einsum("kn,kn->k", gradients_z, solutions_z)
-        solutions = solutions_z @ self.vectors.T
-        return solutions, objectives, active_sets
 
 
 def solve_qp_active_set(

@@ -348,6 +348,9 @@ class WireResult:
     ``coefficients`` and ``lam`` round-trip bit-exactly (JSON ``repr``
     floats), which is what the end-to-end 1e-10 equivalence gate compares.
     ``diagnostics`` is attached only when the request asked for it.
+    ``solver_iterations`` counts the active-set iterations spent on the row
+    and is 0 when the stacked KKT check of its batch verified it, so the
+    same request can report different counts alone and in a batch.
     """
 
     coefficients: list[float]

@@ -10,14 +10,16 @@ saturated — and starts the shard's runner on the worker pool when none is
 active.  An idle shard therefore solves a request at once, and a busy shard
 coalesces for free: when a solve ends, its runner takes everything queued
 meanwhile, merges it by compatibility key — same configuration shard,
-measurement grid and fit options — folds bit-exact repeats into one solve
-row and splits the distinct rows at ``max_batch``.  Each batch goes
-through the shard deconvolver's ``fit_many`` against the shard session's
-warm caches — one stacked multi-RHS solve, one shared GCV scoring pass for
-the whole batch — so the marginal cost per request is one gradient plus
-one row of a batched solve, while every response stays bit-identical (to
-1e-10) to a direct :meth:`~repro.core.deconvolver.Deconvolver.fit` call (the
-session layer's tested guarantee).
+measurement grid and fit options — and folds bit-exact repeats into one
+solve row.  Each key block is one batch (unless an explicit ``max_batch``
+splits it) and goes through the shard deconvolver's ``fit_many`` against
+the shard session's warm caches — one stacked multi-RHS solve per distinct
+lambda, one shared GCV scoring pass for the whole batch — so the marginal
+cost per request is one gradient plus one row of a batched solve, while
+every response stays bit-identical (to 1e-10) to a direct
+:meth:`~repro.core.deconvolver.Deconvolver.fit` call (the session layer's
+tested guarantee).  The batch's futures are settled together, once per
+shared condition.
 
 The scheduler is SLO-aware and failure-contained:
 
@@ -211,6 +213,39 @@ class _BlockFuture(Future):
         return super().exception(0)
 
 
+def _set_results(settling: list[tuple[_QueuedItem, object]]) -> list[_QueuedItem]:
+    """Resolve many futures, taking each shared condition once.
+
+    What :meth:`~concurrent.futures.Future.set_result` does per future —
+    store the result, mark it finished, tell every ``wait``/``as_completed``
+    waiter, wake the condition's waiters, run the done-callbacks — done once
+    per :class:`_BlockFuture` condition: one acquire and one ``notify_all``
+    for all of its futures in the list, and the callbacks after the lock is
+    released.  A future its caller cancelled is left as it is.  Returns the
+    items whose future took its result.
+    """
+    blocks: dict[threading.Condition, list[tuple[_QueuedItem, object]]] = {}
+    for item, result in settling:
+        blocks.setdefault(item.future._condition, []).append((item, result))
+    completed: list[_QueuedItem] = []
+    for condition, block in blocks.items():
+        with condition:
+            for item, result in block:
+                future = item.future
+                if future._state in _DONE:  # cancelled by its caller
+                    continue
+                future._result = result
+                future._state = FINISHED
+                for waiter in future._waiters:
+                    waiter.add_result(future)
+                completed.append(item)
+            condition.notify_all()
+    for item in completed:
+        if item.future._done_callbacks:
+            item.future._invoke_callbacks()
+    return completed
+
+
 @dataclass(slots=True)
 class _QueuedItem:
     """A request in flight: the future to resolve and its timing/content keys.
@@ -323,9 +358,11 @@ class MicroBatchScheduler:
         The :class:`~repro.service.pool.SessionPool` whose shards serve the
         requests.
     max_batch:
-        The dispatch cap: a runner splits what it takes into batches of at
-        most this many distinct solve rows.  Bit-exact repeats share their
-        leader's row, so a batch may carry more requests than rows.
+        Optional dispatch cap: a runner splits each key block it takes into
+        batches of at most this many distinct solve rows.  ``None`` (the
+        default) keeps every key block whole, one ``fit_many`` call, which
+        ``max_queue`` bounds.  Bit-exact repeats share their leader's row, so
+        a batch may carry more requests than rows.
     max_queue:
         Bound on the requests queued for a runner, over all shards;
         :meth:`submit` blocks once it is reached (backpressure) until the
@@ -362,7 +399,7 @@ class MicroBatchScheduler:
         self,
         pool: SessionPool,
         *,
-        max_batch: int = 32,
+        max_batch: int | None = None,
         max_queue: int = 1024,
         workers: int | None = None,
         cache: ResultCache | None = None,
@@ -372,14 +409,14 @@ class MicroBatchScheduler:
         breaker_reset_s: float = 1.0,
         fault_plan: FaultPlan | None = None,
     ) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
+        if max_batch is not None and max_batch < 1:
+            raise ValueError("max_batch must be None or at least 1")
         if max_queue < 1:
             raise ValueError("max_queue must be at least 1")
         if breaker_threshold < 1:
             raise ValueError("breaker_threshold must be at least 1")
         self.pool = pool
-        self.max_batch = int(max_batch)
+        self.max_batch = None if max_batch is None else int(max_batch)
         self.max_queue = int(max_queue)
         self.cache = cache if cache is not None else ResultCache()
         self.telemetry = telemetry if telemetry is not None else Telemetry()
@@ -840,15 +877,15 @@ class MicroBatchScheduler:
     def _batches(
         self, taken: list[list[_QueuedItem]]
     ) -> list[list[list[_QueuedItem]]]:
-        """Merge groups by batch key, dedup, split at ``max_batch`` rows.
+        """Merge groups by batch key and dedup; one batch per key block.
 
         This is the only place batches are formed: whatever queued up while
         the previous solve ran coalesces here, however it arrived.  A batch
         is a list of solve rows and a row holds every request taken with one
-        fingerprint, so bit-exact repeats ride with their leader and
-        ``max_batch`` caps the distinct rows of one stacked solve.  Batches
-        run highest priority first; the sort is stable, so ties keep arrival
-        order.
+        fingerprint, so bit-exact repeats ride with their leader.  An
+        explicit ``max_batch`` splits a block into batches of at most that
+        many distinct rows.  Batches run highest priority first; the sort is
+        stable, so ties keep arrival order.
         """
         merged: dict[tuple, dict[str, list[_QueuedItem]]] = {}
         for group in taken:
@@ -863,7 +900,12 @@ class MicroBatchScheduler:
         batches = []
         for rows in merged.values():
             distinct = list(rows.values())
-            batches += [distinct[start : start + size] for start in range(0, len(distinct), size)]
+            if size is None:
+                batches.append(distinct)
+            else:
+                batches += [
+                    distinct[start : start + size] for start in range(0, len(distinct), size)
+                ]
         if len(batches) > 1:
             batches.sort(
                 key=lambda batch: -max(item.request.priority for row in batch for item in row)
@@ -1124,15 +1166,16 @@ class MicroBatchScheduler:
             if self.fault_plan is not None:
                 self.fault_plan.on_cache_store(self.cache)
         now = time.perf_counter()
-        latencies = []
+        settling = [
+            (item, result) for row, result in solved + ready for item in row if self._settle(item)
+        ]
+        completed: list[_QueuedItem] = []
         try:
-            for row, result in solved + ready:
-                for item in row:
-                    if self._deliver(item, result):
-                        latencies.append(now - item.enqueued_at)
+            completed = _set_results(settling)
         finally:
-            # One outstanding-count update for everything delivered.
-            self._settled(len(latencies))
+            # One outstanding-count update for everything settled.
+            self._settled(len(settling))
+        latencies = [now - item.enqueued_at for item in completed]
         self.telemetry.record_batch(
             {
                 "batches": 1,
@@ -1153,16 +1196,6 @@ class MicroBatchScheduler:
         if item.settled:
             return False
         item.settled = True
-        return True
-
-    def _deliver(self, item: _QueuedItem, result: object) -> bool:
-        """Resolve ``item`` unless already settled; the caller updates the count."""
-        if not self._settle(item):
-            return False
-        try:
-            item.future.set_result(result)
-        except InvalidStateError:  # future was cancelled by the caller
-            pass
         return True
 
     def _fail(self, item: _QueuedItem, exc: BaseException) -> None:

@@ -27,7 +27,6 @@ from repro.core.lambda_selection import (
 from repro.core.problem import DeconvolutionProblem
 from repro.data.noise import GaussianMagnitudeNoise
 from repro.data.synthetic import single_pulse_profile
-from repro.numerics.qp import MixedLambdaEigPlan
 from repro.utils.rng import as_generator
 
 
@@ -404,7 +403,7 @@ class TestBatchedGCVSelection:
 
 
 class TestSolveMixed:
-    """The stacked mixed-lambda pass must return verified per-group optima."""
+    """A mixed-lambda batch is one ``solve_batch`` per distinct lambda."""
 
     LAMS = [1e-3, 1e-2, 1e-3, 3e-2, 1e-2]
 
@@ -420,14 +419,42 @@ class TestSolveMixed:
             )
             assert mixed.converged[column]
 
-    def test_stacked_rows_exist_and_plan_is_cached(self, seeded_problem, species_matrix):
-        """The eig plan solves at least part of the batch and is reused."""
-        first = seeded_problem.solve_mixed(self.LAMS, species_matrix)
-        assert first.num_fallback < first.num_problems
-        second = seeded_problem.solve_mixed(self.LAMS, species_matrix)
-        # Remembered working sets can only grow coverage, never shrink it.
-        assert second.num_fallback <= first.num_fallback
-        assert np.max(np.abs(second.x - first.x)) <= 1e-12
+    #: Mixed lambdas, small ones included, over columns where positivity
+    #: binds for some (see ``binding_matrix``).
+    BINDING_LAMS = [1e-3, 1e-6, 1e-2, 1e-6, 3e-2, 1e-3, 1e-2, 1e-6]
+
+    @pytest.fixture()
+    def binding_matrix(self, species_matrix):
+        # Pulled below zero on part of the cycle, so positivity rows bind.
+        shifted = species_matrix[:, :3] - 0.8 * species_matrix[:, :3].mean(axis=0)
+        return np.column_stack([species_matrix, shifted])
+
+    def test_rows_are_one_solve_batch_per_lambda(self, seeded_problem, binding_matrix):
+        """Each distinct lambda's columns come back exactly as that
+        lambda's own ``solve_batch`` returns them, bit for bit."""
+        mixed = seeded_problem.solve_mixed(self.BINDING_LAMS, binding_matrix)
+        # A twin with caches of its own, so neither run warms the other.
+        twin = seeded_problem.released_twin()
+        lams = np.array(self.BINDING_LAMS)
+        assert any(mixed.active_sets)  # positivity binds somewhere
+        for lam in np.unique(lams):
+            columns = np.flatnonzero(lams == lam)
+            group = twin.solve_batch(float(lam), binding_matrix[:, columns])
+            np.testing.assert_array_equal(mixed.x[columns], group.x)
+            np.testing.assert_array_equal(mixed.objectives[columns], group.objectives)
+            np.testing.assert_array_equal(mixed.iterations[columns], group.iterations)
+            np.testing.assert_array_equal(mixed.converged[columns], group.converged)
+            np.testing.assert_array_equal(mixed.fallback[columns], group.fallback)
+            assert [mixed.active_sets[c] for c in columns] == group.active_sets
+
+    def test_every_row_is_certified(self, seeded_problem, binding_matrix, certify):
+        mixed = seeded_problem.solve_mixed(self.BINDING_LAMS, binding_matrix)
+        for column, lam in enumerate(self.BINDING_LAMS):
+            assert mixed.converged[column]
+            program = seeded_problem.with_measurements(
+                binding_matrix[:, column]
+            ).quadratic_program(lam)
+            certify(program, mixed.x[column], mixed.active_sets[column])
 
     def test_single_distinct_lambda_delegates_to_solve_batch(
         self, seeded_problem, species_matrix
@@ -444,33 +471,6 @@ class TestSolveMixed:
         assert empty.x.shape == (0, seeded_problem.num_coefficients)
         assert empty.active_sets == []
 
-    def test_plan_per_shift_survives_alternating_batches(
-        self, seeded_problem, species_matrix, monkeypatch
-    ):
-        """Batches at two lambda shifts keep one plan each instead of thrashing."""
-        shifts = []
-        original_init = MixedLambdaEigPlan.__init__
-
-        def counting_init(plan, gram, penalty, ridge, shift, **kwargs):
-            shifts.append(shift)
-            original_init(plan, gram, penalty, ridge, shift, **kwargs)
-
-        monkeypatch.setattr(MixedLambdaEigPlan, "__init__", counting_init)
-        fixed = [1e-3, 1e-2, 1e-3, 1e-2, 1e-3]  # shift 10^-2.5
-        selected = [1e-6, 1e-5, 1e-6, 1e-5, 1e-6]  # shift 10^-5.5
-        first = {}
-        for _ in range(3):
-            for name, lams in (("fixed", fixed), ("selected", selected)):
-                batch = seeded_problem.solve_mixed(lams, species_matrix)
-                first.setdefault(name, batch)
-                assert np.max(np.abs(batch.x - first[name].x)) <= 1e-12
-        assert shifts == pytest.approx([10.0**-2.5, 10.0**-5.5])
-        for name, lams in (("fixed", fixed), ("selected", selected)):
-            for column, lam in enumerate(lams):
-                sibling = seeded_problem.with_measurements(species_matrix[:, column])
-                reference = sibling.solve(lam)
-                assert np.max(np.abs(first[name].x[column] - reference.x)) <= 1e-10
-
     def test_shape_validation(self, seeded_problem, species_matrix):
         with pytest.raises(ValueError):
             seeded_problem.solve_mixed([1e-3, 1e-2], species_matrix)
@@ -479,7 +479,7 @@ class TestSolveMixed:
 
 
 class TestCrossLambdaFitMany:
-    """fit_many's mixed-lambda batches route through one stacked eig pass."""
+    """fit_many's mixed-lambda batches match one fit per column."""
 
     LAMS = [1e-3, 1e-2, 1e-3, 3e-2, 1e-2]
 
@@ -536,7 +536,7 @@ class TestBatchValidatedOnce:
     @pytest.mark.parametrize(
         "lam, columns",
         [
-            (LAMS, slice(None)),  # one stacked mixed-lambda solve_mixed
+            (LAMS, slice(None)),  # one solve_batch per distinct lambda
             (1e-2, slice(None)),  # one per-lambda solve_batch
             (1e-2, slice(0, 1)),  # a one-column batch: a one-row solve_batch
             (None, slice(None)),  # batched GCV selection, then solve_batch

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.numerics.qp import (
-    MixedLambdaEigPlan,
     QPWorkspace,
     QuadraticProgram,
     kkt_solve_diagonal_batch,
@@ -179,131 +178,3 @@ class TestDiagonalKKTBatch:
                 diagonals, rng.normal(size=5), columns, np.zeros(2), 0
             )
 
-
-def make_pencil(rng, n=9, ridge=1e-8):
-    """A deconvolution-shaped (gram, penalty) pair: PD gram, PSD penalty."""
-    factor = rng.normal(size=(n + 5, n))
-    gram = factor.T @ factor + 0.5 * np.eye(n)
-    differences = np.diff(np.eye(n), 2, axis=0)
-    penalty = differences.T @ differences
-    return gram, penalty, ridge
-
-
-def full_hessian(gram, penalty, ridge, lam):
-    return 2.0 * gram + float(ridge) * np.eye(gram.shape[0]) + 2.0 * lam * penalty
-
-
-class TestMixedLambdaEigPlan:
-    def test_unconstrained_rows_match_dense_solves(self, rng):
-        gram, penalty, ridge = make_pencil(rng)
-        lams = np.array([0.03, 0.3, 1.0, 7.0])
-        plan = MixedLambdaEigPlan(gram, penalty, ridge, 1.0)
-        gradients = rng.normal(size=(lams.size, gram.shape[0]))
-        solutions, objectives, active_sets = plan.solve(lams, gradients)
-        for row, lam in enumerate(lams):
-            assert active_sets[row] == []
-            hessian = full_hessian(gram, penalty, ridge, lam)
-            expected = np.linalg.solve(hessian, -gradients[row])
-            np.testing.assert_allclose(solutions[row], expected, atol=1e-10)
-            assert objectives[row] == pytest.approx(
-                0.5 * expected @ hessian @ expected + gradients[row] @ expected,
-                rel=1e-10,
-                abs=1e-12,
-            )
-
-    def test_constrained_rows_match_active_set_solver(self, rng):
-        from repro.numerics.qp import solve_qp_active_set
-
-        gram, penalty, ridge = make_pencil(rng)
-        n = gram.shape[0]
-        eq = np.ones((1, n))
-        ineq = np.eye(n)
-        lams = np.array([0.2, 0.5, 2.0, 5.0])
-        plan = MixedLambdaEigPlan(
-            gram,
-            penalty,
-            ridge,
-            1.0,
-            eq_matrix=eq,
-            eq_vector=np.ones(1),
-            ineq_matrix=ineq,
-            ineq_vector=np.zeros(n),
-        )
-        # Push some unconstrained optima negative so positivity binds.
-        gradients = np.abs(rng.normal(size=(lams.size, n))) + 0.5
-        gradients[0] = rng.normal(size=n)  # likely interior row
-        references = []
-        for row, lam in enumerate(lams):
-            program = QuadraticProgram(
-                hessian=full_hessian(gram, penalty, ridge, lam),
-                gradient=gradients[row],
-                eq_matrix=eq,
-                eq_vector=np.ones(1),
-                ineq_matrix=ineq,
-                ineq_vector=np.zeros(n),
-            )
-            references.append(solve_qp_active_set(program, x0=np.ones(n) / n))
-        # Seed the candidate queue with the reference working sets, then a
-        # second pass must confirm every row in the stacked path.
-        for reference in references:
-            plan.remember(reference.active_set)
-        solutions, _objectives, active_sets = plan.solve(lams, gradients)
-        for row, reference in enumerate(references):
-            assert active_sets[row] is not None
-            assert sorted(active_sets[row]) == sorted(reference.active_set)
-            np.testing.assert_allclose(solutions[row], reference.x, atol=1e-9)
-
-    def test_unmatched_rows_are_rejected_not_guessed(self, rng):
-        gram, penalty, ridge = make_pencil(rng)
-        n = gram.shape[0]
-        plan = MixedLambdaEigPlan(
-            gram,
-            penalty,
-            ridge,
-            1.0,
-            ineq_matrix=np.eye(n),
-            ineq_vector=np.zeros(n),
-        )
-        # Positivity binds (positive gradients push the optimum negative)
-        # and only the empty candidate set is known: every binding row must
-        # come back rejected rather than silently infeasible.
-        gradients = np.abs(rng.normal(size=(3, n))) + 1.0
-        _solutions, _objectives, active_sets = plan.solve(
-            np.array([0.5, 1.0, 2.0]), gradients
-        )
-        assert all(active is None for active in active_sets)
-
-    def test_remember_is_deduplicated_and_bounded(self, rng):
-        gram, penalty, ridge = make_pencil(rng)
-        plan = MixedLambdaEigPlan(gram, penalty, ridge, 1.0)
-        for index in range(2 * plan.MAX_REMEMBERED):
-            plan.remember((index % (plan.MAX_REMEMBERED + 1),))
-            plan.remember((index % (plan.MAX_REMEMBERED + 1),))
-        assert len(plan._remembered) <= plan.MAX_REMEMBERED
-        assert len(set(plan._remembered)) == len(plan._remembered)
-        # Candidate order: guess first, then remembered, then the empty set.
-        candidates = plan.candidate_sets((3, 1))
-        assert candidates[0] == (1, 3)
-        assert candidates[-1] == ()
-
-    def test_negative_lambda_raises(self, rng):
-        gram, penalty, ridge = make_pencil(rng)
-        plan = MixedLambdaEigPlan(gram, penalty, ridge, 1.0)
-        with pytest.raises(np.linalg.LinAlgError):
-            plan.diagonals(np.array([1.0, -50.0]))
-
-    def test_wide_lambda_spread_trips_conditioning_guard(self, rng):
-        """Lambdas decades below the shift fall back instead of losing digits.
-
-        The diagonal ``2 (1 + (lam - c) mu)`` cancels toward zero when
-        ``lam << c`` on the stiffest eigenmodes, so those rows must be
-        rejected for the exact per-group path rather than solved with lost
-        digits.
-        """
-        gram, penalty, ridge = make_pencil(rng)
-        plan = MixedLambdaEigPlan(gram, penalty, ridge, 1e4)
-        lams = np.array([1e4, 1e-7])
-        gradients = rng.normal(size=(2, gram.shape[0]))
-        _solutions, _objectives, active_sets = plan.solve(lams, gradients)
-        assert active_sets[0] == []  # on-shift row stays stacked
-        assert active_sets[1] is None  # cancelling row is rejected for accuracy

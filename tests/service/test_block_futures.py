@@ -12,6 +12,7 @@ its timeout passes.
 
 import asyncio
 import concurrent.futures
+import dataclasses
 import sys
 import threading
 import time
@@ -21,6 +22,7 @@ import pytest
 
 from repro.core.deconvolver import Deconvolver
 from repro.service import (
+    DeadlineExceeded,
     FitRequest,
     MicroBatchScheduler,
     SessionPool,
@@ -193,6 +195,77 @@ class TestStandardConsumers:
             [requests[index] for index in kept],
             factory,
         )
+
+
+class TestBlockSettle:
+    """A batch settles its futures once per shared condition."""
+
+    def test_waiters_callbacks_and_a_cancelled_future(self, factory, workload, hold_shard):
+        requests = [r for r in workload if r.lam is not None][:6]
+        calls = {}
+        lock_held = []
+
+        def callback(future):
+            calls[id(future)] = calls.get(id(future), 0) + 1
+            lock_held.append(future._condition._is_owned())
+
+        with MicroBatchScheduler(SessionPool(factory)) as scheduler:
+            release = hold_shard(scheduler)
+            futures = scheduler.submit_many(requests)
+            for future in futures:
+                future.add_done_callback(callback)
+            assert futures[2].cancel()
+            live = [future for index, future in enumerate(futures) if index != 2]
+            waited, streamed = [], []
+            waiter = threading.Thread(
+                target=lambda: waited.append(concurrent.futures.wait(live, timeout=60))
+            )
+            streamer = threading.Thread(
+                target=lambda: streamed.extend(concurrent.futures.as_completed(live, timeout=60))
+            )
+            waiter.start()
+            streamer.start()
+            time.sleep(0.05)
+            release()
+            waiter.join(timeout=60)
+            streamer.join(timeout=60)
+            assert not waiter.is_alive() and not streamer.is_alive()
+            assert scheduler.drain(timeout=60)
+            snapshot = scheduler.telemetry.snapshot()
+        (done, pending), = waited
+        assert done == set(live) and not pending
+        assert sorted(map(id, streamed)) == sorted(map(id, live))
+        # Every callback ran once (the cancelled one at cancel time), never
+        # under the shared condition.
+        assert sorted(calls.values()) == [1] * len(futures)
+        assert not any(lock_held)
+        assert futures[2].cancelled()
+        assert snapshot["counters"]["completed"] == len(live)
+        assert scheduler.outstanding() == 0
+        kept = [requests[index] for index in range(len(requests)) if index != 2]
+        _check([future.result(timeout=0) for future in live], kept, factory)
+
+    def test_a_deadline_miss_in_the_block_fails_alone(self, factory, workload, hold_shard):
+        requests = [r for r in workload if r.lam is not None][:5]
+        late = dataclasses.replace(requests[3], deadline_ms=20.0)
+        block = requests[:3] + [late] + requests[4:]
+        with MicroBatchScheduler(SessionPool(factory)) as scheduler:
+            release = hold_shard(scheduler)
+            scheduler.submit(workload[0])
+            deadline = time.perf_counter() + 5.0
+            while scheduler.queue_depth() > 0 and time.perf_counter() < deadline:
+                time.sleep(0.001)
+            futures = scheduler.submit_many(block)
+            time.sleep(0.1)
+            release()
+            assert scheduler.drain(timeout=60)
+            snapshot = scheduler.telemetry.snapshot()
+        with pytest.raises(DeadlineExceeded):
+            futures[3].result(timeout=0)
+        kept = [0, 1, 2, 4]
+        _check([futures[i].result(timeout=0) for i in kept], [block[i] for i in kept], factory)
+        assert snapshot["counters"]["deadline_missed"] == 1
+        assert snapshot["counters"]["completed"] == 1 + len(kept)
 
 
 def test_waiters_on_one_block_under_fast_switching(factory, kernels):

@@ -742,6 +742,33 @@ class TestIdleDispatch:
         assert max_coefficient_gap(results, references) <= 1e-10
 
 
+class TestWholeKeyBlocks:
+    """By default a key block is one ``fit_many`` call; ``max_batch`` splits it."""
+
+    def _run_block(self, factory, workload, count, **options):
+        plan = _WidthRecorder()
+        group = _same_key_group(dataclasses.replace(workload[1], lam=1e-2), count)
+        with MicroBatchScheduler(SessionPool(factory), fault_plan=plan, **options) as scheduler:
+            results = [future.result(timeout=60) for future in scheduler.submit_many(group)]
+            snapshot = scheduler.telemetry.snapshot()
+        references = serial_reference(factory("reference"), group)
+        assert max_coefficient_gap(results, references) <= 1e-10
+        assert [r.lam for r in results] == [r.lam for r in references]
+        return plan.widths, snapshot
+
+    def test_default_solves_a_block_in_one_call(self, factory, workload):
+        assert MicroBatchScheduler(SessionPool(factory)).max_batch is None
+        widths, snapshot = self._run_block(factory, workload, 200)
+        assert widths == [200]
+        assert snapshot["counters"]["batches"] == 1
+        assert snapshot["counters"]["completed"] == 200
+
+    def test_explicit_max_batch_splits_the_block(self, factory, workload):
+        widths, snapshot = self._run_block(factory, workload, 200, max_batch=64)
+        assert widths == [64, 64, 64, 8]
+        assert snapshot["counters"]["batches"] == 4
+
+
 _CONFIGS = ["default", "alt", 1, 1.0, True, ("grid", 2)]
 _SEEDS = [
     lambda k: k,

@@ -115,7 +115,9 @@ def _run(rps: float, failed: int = 0) -> dict:
     }
 
 
-def _drive(monkeypatch, tmp_path, parent_run, change_run, pairs: int = 10) -> tuple[int, list]:
+def _drive(
+    monkeypatch, tmp_path, parent_run, change_run, pairs: int = 10, extra: tuple = ()
+) -> tuple[int, list]:
     """Run ``ab.main`` with synthetic runs; returns its status and the run order."""
     parent = tmp_path / "parent"
     order = []
@@ -129,7 +131,8 @@ def _drive(monkeypatch, tmp_path, parent_run, change_run, pairs: int = 10) -> tu
     monkeypatch.setattr(ab, "_git", lambda *args: "0" * 40)
     monkeypatch.setattr(ab, "parent_tree", lambda commit: contextlib.nullcontext(parent))
     monkeypatch.setattr(ab, "run_tree", fake_run)
-    return ab.main(["--against", "HEAD", "--pairs", str(pairs), "--seconds", "1"]), order
+    argv = ["--against", "HEAD", "--pairs", str(pairs), "--seconds", "1", *extra]
+    return ab.main(argv), order
 
 
 def test_main_passes_an_unchanged_tree_and_alternates_order(monkeypatch, tmp_path, capsys):
@@ -169,3 +172,28 @@ def test_a_run_without_a_result_counts_as_a_failed_operation():
     lines, ok = ab.compare(runs, METRICS)
     assert not ok
     assert "  change operations failed/attempted: 1/2001" in lines
+
+
+def test_workload_accepts_ungated_perfbench_workloads(monkeypatch, tmp_path, capsys):
+    status, order = _drive(
+        monkeypatch,
+        tmp_path,
+        lambda i: _run(PARENT_RPS[i]),
+        lambda i: _run(PARENT_RPS[i]),
+        pairs=2,
+        extra=("--workload", "select_fresh", "bulk_mixed"),
+    )
+    assert status == 0
+    assert [workload for workload, _ in order] == ["select_fresh"] * 4 + ["bulk_mixed"] * 4
+    assert "select_fresh: 2 pairs" in capsys.readouterr().out
+
+
+def test_workload_choices_are_the_perfbench_table(capsys):
+    names = ab.workload_names()  # puts the repository root on sys.path
+    from perfbench.workloads import WORKLOADS
+
+    assert names == list(WORKLOADS)
+    assert "select_fresh" in WORKLOADS
+    with pytest.raises(SystemExit):
+        ab.main(["--against", "HEAD", "--workload", "no_such_workload"])
+    assert "invalid choice" in capsys.readouterr().err

@@ -8,9 +8,12 @@ Checks ``<ref>`` out into a temporary git worktree (the *parent*) and
 compares it with this checkout, uncommitted edits included (the *change*).
 For each workload, ``perfbench/run.py --trace 0`` runs once in each tree per
 pair, and the tree that runs first alternates from pair to pair, so a drift
-in host speed hits both sides alike.  Workloads, end-to-end metrics, their
+in host speed hits both sides alike.  The end-to-end metrics, their
 direction and their bounds come from ``BENCHMARK.json``; by default every
-workload runs for 10 pairs of ``run_seconds`` at seed 1.
+workload it gates runs for 10 pairs of ``run_seconds`` at seed 1.
+``--workload`` also takes the perfbench workloads it does not gate (any name
+in ``perfbench.workloads.WORKLOADS``, e.g. ``select_fresh``), judged by the
+same metrics and bounds.
 
 Per workload and metric the report gives both sides' medians and quartiles,
 the pairs each side won and a verdict (:func:`verdict`).  The exit status is
@@ -180,6 +183,16 @@ def run_tree(tree: Path, workload: str, seed: int, seconds: float) -> dict | Non
     return None
 
 
+def workload_names() -> list[str]:
+    """Every workload ``perfbench/run.py`` knows, gated or not."""
+    for path in (str(ROOT / "src"), str(ROOT)):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+    from perfbench.workloads import WORKLOADS
+
+    return list(WORKLOADS)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run the A/B and return the exit status."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -189,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", nargs="+", choices=names, default=names)
+    parser.add_argument("--workload", nargs="+", choices=workload_names(), default=names)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
