@@ -60,7 +60,7 @@ def main() -> None:
         WorkloadSpec(num_requests=REQUESTS, repeat_ratio=0.25, selection_fraction=0.1, seed=7),
     )
 
-    with MicroBatchScheduler(pool, max_batch=16, workers=2) as scheduler:
+    with MicroBatchScheduler(pool, workers=2) as scheduler:
         # Warm pass (kernel registration, assembly, factorizations), then
         # reset the metrics so the report covers only the measured window.
         scheduler.map(workload)

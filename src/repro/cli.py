@@ -108,9 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fraction of requests that bit-exactly repeat an earlier one")
     serve.add_argument("--selection-fraction", type=float, default=0.05,
                        help="fraction of fresh requests using automatic lambda selection")
-    serve.add_argument("--max-batch", type=int, default=None,
-                       help="split each key block into stacked solves of at most this many "
-                            "distinct rows (default: one solve per block)")
     serve.add_argument("--workers", type=int, default=2, help="scheduler worker threads")
     serve.add_argument(
         "--scenario",
@@ -144,9 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="Monte-Carlo founder cells per kernel")
     server.add_argument("--grids", type=int, default=2,
                         help="distinct measurement time grids to register")
-    server.add_argument("--max-batch", type=int, default=None,
-                        help="split each key block into stacked solves of at most this many "
-                             "distinct rows (default: one solve per block)")
     server.add_argument("--workers", type=int, default=2, help="scheduler worker threads")
     return parser
 
@@ -308,7 +302,6 @@ def _run_serve_bench(args: argparse.Namespace) -> int:
 
     with MicroBatchScheduler(
         pool,
-        max_batch=args.max_batch,
         workers=args.workers,
     ) as scheduler:
         # Warm both paths so the timed passes measure the steady-state
@@ -384,7 +377,6 @@ def _run_serve_bench_http(args: argparse.Namespace, workload, pool, reference) -
     wires = [WireFit.from_request(request) for request in workload]
     with MicroBatchScheduler(
         pool,
-        max_batch=args.max_batch,
         workers=args.workers,
     ) as scheduler:
         with serve_in_thread(scheduler) as handle:
@@ -471,7 +463,6 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     with MicroBatchScheduler(
         pool,
-        max_batch=args.max_batch,
         workers=args.workers,
     ) as scheduler:
         try:
@@ -537,7 +528,6 @@ def _run_serve_scenarios(args: argparse.Namespace, kernels, factory) -> int:
         pool = SessionPool(factory if plan is None else plan.wrap_factory(factory))
         with MicroBatchScheduler(
             pool,
-            max_batch=args.max_batch,
             workers=args.workers,
             fault_plan=plan,
         ) as scheduler:

@@ -11,15 +11,13 @@ active.  An idle shard therefore solves a request at once, and a busy shard
 coalesces for free: when a solve ends, its runner takes everything queued
 meanwhile, merges it by compatibility key — same configuration shard,
 measurement grid and fit options — and folds bit-exact repeats into one
-solve row.  Each key block is one batch (unless an explicit ``max_batch``
-splits it) and goes through the shard deconvolver's ``fit_many`` against
-the shard session's warm caches — one stacked multi-RHS solve per distinct
-lambda, one shared GCV scoring pass for the whole batch — so the marginal
-cost per request is one gradient plus one row of a batched solve, while
-every response stays bit-identical (to 1e-10) to a direct
-:meth:`~repro.core.deconvolver.Deconvolver.fit` call (the session layer's
-tested guarantee).  The batch's futures are settled together, once per
-shared condition.
+solve row.  Each key block is one batch and goes through the shard
+deconvolver's ``fit_many`` against the shard session's warm caches — one
+stacked multi-RHS solve per distinct lambda, one shared GCV scoring pass
+for the whole batch — so the marginal cost per request is one gradient
+plus one row of a batched solve, while every response stays bit-identical
+(to 1e-10) to a direct :meth:`~repro.core.deconvolver.Deconvolver.fit`
+call (the session layer's tested guarantee).
 
 The scheduler is SLO-aware and failure-contained:
 
@@ -213,39 +211,6 @@ class _BlockFuture(Future):
         return super().exception(0)
 
 
-def _set_results(settling: list[tuple[_QueuedItem, object]]) -> list[_QueuedItem]:
-    """Resolve many futures, taking each shared condition once.
-
-    What :meth:`~concurrent.futures.Future.set_result` does per future —
-    store the result, mark it finished, tell every ``wait``/``as_completed``
-    waiter, wake the condition's waiters, run the done-callbacks — done once
-    per :class:`_BlockFuture` condition: one acquire and one ``notify_all``
-    for all of its futures in the list, and the callbacks after the lock is
-    released.  A future its caller cancelled is left as it is.  Returns the
-    items whose future took its result.
-    """
-    blocks: dict[threading.Condition, list[tuple[_QueuedItem, object]]] = {}
-    for item, result in settling:
-        blocks.setdefault(item.future._condition, []).append((item, result))
-    completed: list[_QueuedItem] = []
-    for condition, block in blocks.items():
-        with condition:
-            for item, result in block:
-                future = item.future
-                if future._state in _DONE:  # cancelled by its caller
-                    continue
-                future._result = result
-                future._state = FINISHED
-                for waiter in future._waiters:
-                    waiter.add_result(future)
-                completed.append(item)
-            condition.notify_all()
-    for item in completed:
-        if item.future._done_callbacks:
-            item.future._invoke_callbacks()
-    return completed
-
-
 @dataclass(slots=True)
 class _QueuedItem:
     """A request in flight: the future to resolve and its timing/content keys.
@@ -357,16 +322,11 @@ class MicroBatchScheduler:
     pool:
         The :class:`~repro.service.pool.SessionPool` whose shards serve the
         requests.
-    max_batch:
-        Optional dispatch cap: a runner splits each key block it takes into
-        batches of at most this many distinct solve rows.  ``None`` (the
-        default) keeps every key block whole, one ``fit_many`` call, which
-        ``max_queue`` bounds.  Bit-exact repeats share their leader's row, so
-        a batch may carry more requests than rows.
     max_queue:
         Bound on the requests queued for a runner, over all shards;
         :meth:`submit` blocks once it is reached (backpressure) until the
-        runners catch up.
+        runners catch up.  It also bounds a batch: a runner solves each key
+        block it takes whole, as one ``fit_many`` call.
     workers:
         Size of the solve thread pool; defaults to
         :func:`repro.config.default_pool_size` for an unbounded task count.
@@ -399,7 +359,6 @@ class MicroBatchScheduler:
         self,
         pool: SessionPool,
         *,
-        max_batch: int | None = None,
         max_queue: int = 1024,
         workers: int | None = None,
         cache: ResultCache | None = None,
@@ -409,14 +368,11 @@ class MicroBatchScheduler:
         breaker_reset_s: float = 1.0,
         fault_plan: FaultPlan | None = None,
     ) -> None:
-        if max_batch is not None and max_batch < 1:
-            raise ValueError("max_batch must be None or at least 1")
         if max_queue < 1:
             raise ValueError("max_queue must be at least 1")
         if breaker_threshold < 1:
             raise ValueError("breaker_threshold must be at least 1")
         self.pool = pool
-        self.max_batch = None if max_batch is None else int(max_batch)
         self.max_queue = int(max_queue)
         self.cache = cache if cache is not None else ResultCache()
         self.telemetry = telemetry if telemetry is not None else Telemetry()
@@ -828,7 +784,6 @@ class MicroBatchScheduler:
             "queued": self._queued,
             "outstanding": outstanding,
             "workers": self.workers,
-            "max_batch": self.max_batch,
             "request_cost_ms": self._request_cost * 1e3,
             "closed": self._closed,
             "crashed": self._crashed is not None,
@@ -882,10 +837,9 @@ class MicroBatchScheduler:
         This is the only place batches are formed: whatever queued up while
         the previous solve ran coalesces here, however it arrived.  A batch
         is a list of solve rows and a row holds every request taken with one
-        fingerprint, so bit-exact repeats ride with their leader.  An
-        explicit ``max_batch`` splits a block into batches of at most that
-        many distinct rows.  Batches run highest priority first; the sort is
-        stable, so ties keep arrival order.
+        fingerprint, so bit-exact repeats ride with their leader.  Batches
+        run highest priority first; the sort is stable, so ties keep arrival
+        order.
         """
         merged: dict[tuple, dict[str, list[_QueuedItem]]] = {}
         for group in taken:
@@ -896,16 +850,7 @@ class MicroBatchScheduler:
                     rows[item.fingerprint] = [item]
                 else:
                     row.append(item)
-        size = self.max_batch
-        batches = []
-        for rows in merged.values():
-            distinct = list(rows.values())
-            if size is None:
-                batches.append(distinct)
-            else:
-                batches += [
-                    distinct[start : start + size] for start in range(0, len(distinct), size)
-                ]
+        batches = [list(rows.values()) for rows in merged.values()]
         if len(batches) > 1:
             batches.sort(
                 key=lambda batch: -max(item.request.priority for row in batch for item in row)
@@ -1166,16 +1111,22 @@ class MicroBatchScheduler:
             if self.fault_plan is not None:
                 self.fault_plan.on_cache_store(self.cache)
         now = time.perf_counter()
-        settling = [
-            (item, result) for row, result in solved + ready for item in row if self._settle(item)
-        ]
-        completed: list[_QueuedItem] = []
+        settled = 0
+        latencies = []
         try:
-            completed = _set_results(settling)
+            for row, result in solved + ready:
+                for item in row:
+                    if not self._settle(item):
+                        continue
+                    settled += 1
+                    try:
+                        item.future.set_result(result)
+                    except InvalidStateError:  # cancelled by its caller
+                        continue
+                    latencies.append(now - item.enqueued_at)
         finally:
             # One outstanding-count update for everything settled.
-            self._settled(len(settling))
-        latencies = [now - item.enqueued_at for item in completed]
+            self._settled(settled)
         self.telemetry.record_batch(
             {
                 "batches": 1,

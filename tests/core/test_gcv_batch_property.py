@@ -10,6 +10,8 @@ both paths.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,3 +105,29 @@ def test_indefinite_candidate_is_scored_dense(forwards, rng, monkeypatch):
         sibling = problem.with_measurements(matrix[:, column])
         expected = _gcv_scores_dense(sibling, np.array([indefinite]))[indefinite]
         assert chosen.scores[indefinite] == expected
+
+
+def test_long_grid_scores_in_bounded_memory(forwards, rng):
+    """A grid far longer than one candidate block costs time, not memory.
+
+    The batched matmul runs ``_GCV_CHUNK`` candidates at a time, so the peak
+    allocation stays far below one ``(L, Nm, S)`` temporary (it is about
+    the ``(L, S)`` score table itself), and every
+    candidate scores as it does in a one-point grid.
+    """
+    problem = make_problem(forwards[12], rng)
+    columns = 64
+    matrix = rng.normal(size=(problem.measurements.size, columns))
+    grid = np.logspace(-8, 3, 4000)
+    selection._gcv_score_table(problem, matrix, grid[:1])  # cache the eig pieces
+    tracemalloc.start()
+    try:
+        table = selection._gcv_score_table(problem, matrix, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_temporary = grid.size * problem.measurements.size * columns * 8
+    assert peak < one_temporary / 4
+    for row in (0, 17, 1999, 3999):
+        alone = selection._gcv_score_table(problem, matrix, grid[row : row + 1])[0]
+        np.testing.assert_allclose(table[row], alone, rtol=1e-12, atol=0.0)

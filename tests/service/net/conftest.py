@@ -82,7 +82,7 @@ def live_server(net_factory):
     """
     threads_before = set(threading.enumerate())
     scheduler = MicroBatchScheduler(
-        SessionPool(net_factory), max_batch=8, workers=2
+        SessionPool(net_factory), workers=2
     )
     handle = serve_in_thread(scheduler, submit_timeout_s=10.0)
     try:

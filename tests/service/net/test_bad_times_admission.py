@@ -65,7 +65,7 @@ def _check_no_server_fault(counters):
 
 @pytest.mark.parametrize("intake", ["one_at_a_time", "submit_many"])
 def test_scheduler_fails_the_request_alone(requests, net_factory, intake):
-    with MicroBatchScheduler(SessionPool(net_factory), max_batch=32) as scheduler:
+    with MicroBatchScheduler(SessionPool(net_factory)) as scheduler:
         if intake == "one_at_a_time":
             # The bad requests go first, each its own batch, so a solve-time
             # failure of each would reach the breaker before the valid ones.
@@ -91,7 +91,7 @@ def test_scheduler_fails_the_request_alone(requests, net_factory, intake):
 
 
 def test_empty_times_fail_at_admission(net_factory):
-    with MicroBatchScheduler(SessionPool(net_factory), max_batch=32) as scheduler:
+    with MicroBatchScheduler(SessionPool(net_factory)) as scheduler:
         future = scheduler.submit(FitRequest(times=[], measurements=[], lam=1e-3))
         with pytest.raises(InvalidRequest, match="times must not be empty"):
             future.result(timeout=60.0)

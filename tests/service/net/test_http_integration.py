@@ -297,7 +297,7 @@ def stalled_server(net_factory, workload, submit_timeout_s, hold_shard):
     release)``; ``release()`` lets the pipeline drain.
     """
     threads_before = set(threading.enumerate())
-    scheduler = MicroBatchScheduler(SessionPool(net_factory), max_batch=1, max_queue=1)
+    scheduler = MicroBatchScheduler(SessionPool(net_factory), max_queue=1)
     handle = serve_in_thread(scheduler, submit_timeout_s=submit_timeout_s)
     release = hold_shard(scheduler)
     try:

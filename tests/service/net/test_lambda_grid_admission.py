@@ -82,7 +82,7 @@ def test_serial_fit_rejects_the_grid(requests, net_factory):
 
 @pytest.mark.parametrize("intake", ["submit", "submit_many"])
 def test_scheduler_fails_the_request_alone(requests, net_factory, intake):
-    with MicroBatchScheduler(SessionPool(net_factory), max_batch=32) as scheduler:
+    with MicroBatchScheduler(SessionPool(net_factory)) as scheduler:
         if intake == "submit":
             futures = [scheduler.submit(request) for request in requests]
         else:

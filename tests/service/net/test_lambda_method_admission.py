@@ -64,7 +64,7 @@ def test_select_lambda_uses_the_same_methods(net_factory, net_workload):
 
 @pytest.mark.parametrize("intake", ["submit", "submit_many"])
 def test_scheduler_fails_the_request_alone(requests, net_factory, intake):
-    with MicroBatchScheduler(SessionPool(net_factory), max_batch=32) as scheduler:
+    with MicroBatchScheduler(SessionPool(net_factory)) as scheduler:
         if intake == "submit":
             futures = [scheduler.submit(request) for request in requests]
         else:

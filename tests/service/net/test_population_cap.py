@@ -57,7 +57,7 @@ def _check_no_server_fault(counters):
 
 @pytest.mark.parametrize("intake", ["one_at_a_time", "submit_many"])
 def test_scheduler_fails_the_request_alone(requests, net_factory, intake):
-    with MicroBatchScheduler(SessionPool(net_factory), max_batch=32) as scheduler:
+    with MicroBatchScheduler(SessionPool(net_factory)) as scheduler:
         if intake == "one_at_a_time":
             # The long-grid requests go first, each its own batch: counted
             # as solve failures, the six in a row would open the breaker

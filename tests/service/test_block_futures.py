@@ -198,7 +198,7 @@ class TestStandardConsumers:
 
 
 class TestBlockSettle:
-    """A batch settles its futures once per shared condition."""
+    """Settling a batch keeps the ``Future`` contract on a shared condition."""
 
     def test_waiters_callbacks_and_a_cancelled_future(self, factory, workload, hold_shard):
         requests = [r for r in workload if r.lam is not None][:6]
@@ -285,7 +285,7 @@ def test_waiters_on_one_block_under_fast_switching(factory, kernels):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with MicroBatchScheduler(SessionPool(factory), max_batch=4) as scheduler:
+        with MicroBatchScheduler(SessionPool(factory)) as scheduler:
             for requests in rounds:
                 futures = scheduler.submit_many(requests)
                 outcomes = [None] * len(futures)

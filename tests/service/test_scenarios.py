@@ -280,7 +280,7 @@ class TestSLOScheduling:
         pool = SessionPool(factory)
         order = []
         with MicroBatchScheduler(
-            pool, max_batch=8, workers=1, fault_plan=plan
+            pool, workers=1, fault_plan=plan
         ) as scheduler:
             from repro.data.synthetic import single_pulse_profile
 
@@ -400,6 +400,10 @@ class TestFailureContainment:
             assert scheduler.telemetry.counter("errors") == 3
 
 
+def _crash_batching(taken):
+    raise RuntimeError("boom")
+
+
 def _wait_until_taken(scheduler):
     """Wait for the runner to take everything queued (it then stalls in its solve)."""
     deadline = time.perf_counter() + 5.0
@@ -412,16 +416,16 @@ class TestSupervisor:
         self, factory, workload, hold_shard
     ):
         pool = SessionPool(factory)
-        scheduler = MicroBatchScheduler(pool, max_batch=4)
+        scheduler = MicroBatchScheduler(pool)
         # A stalled shard keeps everything queued when the runner loop dies.
         release = hold_shard(scheduler)
         try:
             blocker = scheduler.submit(workload[2])
             _wait_until_taken(scheduler)
             pending = scheduler.submit(workload[0])
-            # Poison the runner loop: splitting what it takes at a
-            # non-integer max_batch raises outside any batch.
-            scheduler.max_batch = "boom"
+            # Poison the runner loop: forming batches from what it takes
+            # raises outside any batch.
+            scheduler._batches = _crash_batching
             victim = scheduler.submit(workload[1])
         finally:
             release()
@@ -445,14 +449,14 @@ class TestSupervisor:
             assert scheduler.telemetry.counter("scheduler_crashes") == 1
             assert scheduler.stats()["crashed"]
         finally:
-            scheduler.max_batch = 4
+            del scheduler._batches
             scheduler.shutdown()  # must not hang after the crash
 
     def test_crash_releases_a_bulk_producer_blocked_mid_list(
         self, factory, workload, hold_shard
     ):
         pool = SessionPool(factory)
-        scheduler = MicroBatchScheduler(pool, max_batch=1, max_queue=2)
+        scheduler = MicroBatchScheduler(pool, max_queue=2)
         bulk = [_scaled(workload[1], 1.0 + 0.1 * k) for k in range(8)]
         futures = []
         release = hold_shard(scheduler)  # stalls the runner in its first solve
@@ -466,7 +470,7 @@ class TestSupervisor:
             deadline = time.perf_counter() + 5.0
             while scheduler.queue_depth() < 2 and time.perf_counter() < deadline:
                 time.sleep(0.001)
-            scheduler.max_batch = "boom"  # the runner's next take crashes its loop
+            scheduler._batches = _crash_batching  # the runner's next take crashes its loop
         finally:
             release()
         # Failing the two queued requests must not just let the producer
@@ -477,12 +481,12 @@ class TestSupervisor:
         for future in futures:
             with pytest.raises(SchedulerCrashed):
                 future.result(timeout=10)
-        scheduler.max_batch = 1
+        del scheduler._batches
         scheduler.shutdown()
 
     def test_submit_many_overflow_reports_the_split(self, factory, workload, hold_shard):
         pool = SessionPool(factory)
-        scheduler = MicroBatchScheduler(pool, max_batch=1, max_queue=1)
+        scheduler = MicroBatchScheduler(pool, max_queue=1)
         release = hold_shard(scheduler)
         try:
             first = scheduler.submit(workload[0])
@@ -505,7 +509,7 @@ class TestSupervisor:
 
     def test_shutdown_submit_race_leaks_nothing(self, factory, workload):
         pool = SessionPool(factory)
-        scheduler = MicroBatchScheduler(pool, max_batch=8, workers=2)
+        scheduler = MicroBatchScheduler(pool, workers=2)
         futures = []
         futures_lock = threading.Lock()
         stop = threading.Event()

@@ -70,7 +70,7 @@ class TestEquivalence:
     def test_concurrent_producers_match_serial_fit(self, factory, workload):
         pool = SessionPool(factory)
         futures = [None] * len(workload)
-        with MicroBatchScheduler(pool, max_batch=8, workers=2) as scheduler:
+        with MicroBatchScheduler(pool, workers=2) as scheduler:
 
             def produce(offset):
                 for index in range(offset, len(workload), 4):
@@ -91,7 +91,7 @@ class TestEquivalence:
 
     def test_map_preserves_input_order_and_coalesces(self, factory, workload):
         pool = SessionPool(factory)
-        with MicroBatchScheduler(pool, max_batch=32) as scheduler:
+        with MicroBatchScheduler(pool) as scheduler:
             results = scheduler.map(workload)
             snapshot = scheduler.telemetry.snapshot()
         references = serial_reference(factory("reference"), workload)
@@ -107,7 +107,7 @@ class TestEquivalence:
             for scale, lam in ((1.0, 1e-3), (1.1, 1e-2), (1.2, 1e-3))
         ]
         pool = SessionPool(factory)
-        with MicroBatchScheduler(pool, max_batch=8) as scheduler:
+        with MicroBatchScheduler(pool) as scheduler:
             results = scheduler.map(requests)
             snapshot = scheduler.telemetry.snapshot()
         # One (grid, sigma) bucket despite two lambda values.
@@ -172,7 +172,7 @@ class TestMalformedRequestsFailAlone:
         for position in bad_positions:
             requests[position] = _malformed(workload[position], kind)
         pool = SessionPool(factory)
-        with MicroBatchScheduler(pool, max_batch=32) as scheduler:
+        with MicroBatchScheduler(pool) as scheduler:
             if intake == "submit":
                 futures = [scheduler.submit(request) for request in requests]
             else:
@@ -206,7 +206,7 @@ class TestMalformedRequestsFailAlone:
         ]
         requests = bad + list(workload)
         pool = SessionPool(factory)
-        with MicroBatchScheduler(pool, max_batch=32) as scheduler:
+        with MicroBatchScheduler(pool) as scheduler:
             if intake == "submit":
                 futures = [scheduler.submit(request) for request in requests]
             else:
@@ -236,7 +236,7 @@ class TestMalformedRequestsFailAlone:
     def test_admission_rejection_is_an_invalid_request(self, factory, workload, kind):
         # The typed client fault (still a ValueError, so a 400 on the wire)
         # that the runner keeps away from the shard's breaker.
-        with MicroBatchScheduler(SessionPool(factory), max_batch=32) as scheduler:
+        with MicroBatchScheduler(SessionPool(factory)) as scheduler:
             bad, good = scheduler.submit_many([_malformed(workload[0], kind), workload[1]])
             scheduler.drain(timeout=60.0)
         with pytest.raises(InvalidRequest):
@@ -291,7 +291,7 @@ def _with_repeats(group, count):
 class TestCacheAndDedup:
     def test_cache_hit_short_circuits_resolved_future(self, factory, workload):
         pool = SessionPool(factory)
-        with MicroBatchScheduler(pool, max_batch=8) as scheduler:
+        with MicroBatchScheduler(pool) as scheduler:
             first = scheduler.submit(workload[0]).result()
             batches_before = scheduler.telemetry.counter("batches")
             repeat = FitRequest(
@@ -314,7 +314,7 @@ class TestCacheAndDedup:
             measurements=request.measurements.copy(),
             lam=request.lam,
         )
-        with MicroBatchScheduler(pool, max_batch=8) as scheduler:
+        with MicroBatchScheduler(pool) as scheduler:
             results = scheduler.map([request, repeat])
             assert scheduler.telemetry.counter("deduplicated") == 1
         assert np.array_equal(results[0].coefficients, results[1].coefficients)
@@ -347,7 +347,7 @@ class TestCacheAndDedup:
 class TestLifecycle:
     def test_shutdown_drains_nonempty_queue(self, factory, workload, hold_shard):
         pool = SessionPool(factory)
-        scheduler = MicroBatchScheduler(pool, max_batch=64)
+        scheduler = MicroBatchScheduler(pool)
         # A stalled shard: the runner takes the first request and blocks in
         # its solve, so the queue is guaranteed non-empty when shutdown
         # arrives.
@@ -371,7 +371,7 @@ class TestLifecycle:
 
     def test_shutdown_discard_cancels_pending(self, factory, workload, hold_shard):
         pool = SessionPool(factory)
-        scheduler = MicroBatchScheduler(pool, max_batch=64)
+        scheduler = MicroBatchScheduler(pool)
         release = hold_shard(scheduler)
         taken = scheduler.submit(workload[3])
         deadline = time.perf_counter() + 5.0
@@ -403,7 +403,7 @@ class TestLifecycle:
 
     def test_backpressure_timeout(self, factory, workload, hold_shard):
         pool = SessionPool(factory)
-        scheduler = MicroBatchScheduler(pool, max_batch=1, max_queue=1)
+        scheduler = MicroBatchScheduler(pool, max_queue=1)
         # Stall the pipeline deterministically: holding the shard's session
         # lock blocks the runner inside its first solve, so the one-slot
         # queue stays full and the third submit hits the bound.
@@ -425,7 +425,7 @@ class TestLifecycle:
         self, factory, workload, hold_shard
     ):
         pool = SessionPool(factory)
-        scheduler = MicroBatchScheduler(pool, max_batch=1, max_queue=1)
+        scheduler = MicroBatchScheduler(pool, max_queue=1)
         release = hold_shard(scheduler)  # stalls the runner in its first solve
         try:
             first = scheduler.submit(workload[0])
@@ -470,7 +470,7 @@ class TestLifecycle:
 
     def test_intake_bound_counts_requests_not_entries(self, factory, workload, hold_shard):
         pool = SessionPool(factory)
-        scheduler = MicroBatchScheduler(pool, max_batch=1, max_queue=3)
+        scheduler = MicroBatchScheduler(pool, max_queue=3)
         # Five requests sharing one batch key travel as one queued group,
         # but only three fit under a three-request bound.
         group = _same_key_group(workload[1], 5)
@@ -501,7 +501,7 @@ class TestLifecycle:
         """Producers racing partial group puts never lose or overcount a request."""
         pool = SessionPool(factory)
         scheduler = MicroBatchScheduler(
-            pool, max_batch=4, max_queue=5, cache=ResultCache(0)
+            pool, max_queue=5, cache=ResultCache(0)
         )
         futures = [None] * len(workload)
         depths = []
@@ -537,7 +537,7 @@ class TestLifecycle:
 
     def test_submit_many_enqueues_one_entry_per_batch_key(self, factory, workload):
         pool = SessionPool(factory)
-        scheduler = MicroBatchScheduler(pool, max_batch=8)
+        scheduler = MicroBatchScheduler(pool)
         entries = []
         put = scheduler._put
 
@@ -573,7 +573,7 @@ class TestLifecycle:
 
     def test_queue_accounting_and_graceful_drain(self, factory, workload):
         pool = SessionPool(factory)
-        scheduler = MicroBatchScheduler(pool, max_batch=4, workers=2)
+        scheduler = MicroBatchScheduler(pool, workers=2)
         futures = []
         samples = []
 
@@ -608,9 +608,9 @@ class TestLifecycle:
 
     def test_validation(self, factory):
         pool = SessionPool(factory)
-        with pytest.raises(ValueError):
-            MicroBatchScheduler(pool, max_batch=0)
         # Unknown keywords are rejected, not silently ignored.
+        with pytest.raises(TypeError):
+            MicroBatchScheduler(pool, max_batch=8)
         with pytest.raises(TypeError):
             MicroBatchScheduler(pool, max_wait_ms=1.0)
         with pytest.raises(TypeError):
@@ -640,7 +640,7 @@ class TestIdleDispatch:
             scheduler.shutdown()
 
     def test_idle_shard_solves_a_request_as_a_batch_of_one(self, factory, workload):
-        with MicroBatchScheduler(SessionPool(factory), max_batch=32) as scheduler:
+        with MicroBatchScheduler(SessionPool(factory)) as scheduler:
             result = scheduler.submit(workload[0]).result(timeout=30)
             snapshot = scheduler.telemetry.snapshot()
         sizes = snapshot["histograms"]["batch_size"]
@@ -651,7 +651,7 @@ class TestIdleDispatch:
     def test_requests_queued_during_a_solve_coalesce_into_the_next_batch(
         self, factory, workload, hold_shard
     ):
-        scheduler = MicroBatchScheduler(SessionPool(factory), max_batch=32)
+        scheduler = MicroBatchScheduler(SessionPool(factory))
         group = _same_key_group(workload[1], 5)
         release = hold_shard(scheduler)
         try:
@@ -676,12 +676,12 @@ class TestIdleDispatch:
         assert max_coefficient_gap(results, references) <= 1e-10
 
     @pytest.mark.parametrize("intake", ["submit", "submit_many"])
-    def test_runner_splits_what_it_takes_at_max_batch(
+    def test_runner_solves_what_it_takes_as_one_batch(
         self, factory, workload, hold_shard, intake
     ):
-        """Regression: re-merged same-key requests used to exceed ``max_batch``."""
+        """Same-key requests queued during a solve re-merge into one batch."""
         scheduler = MicroBatchScheduler(
-            SessionPool(factory), max_batch=4, cache=ResultCache(0)
+            SessionPool(factory), cache=ResultCache(0)
         )
         group = _same_key_group(workload[1], 10)
         release = hold_shard(scheduler)
@@ -703,20 +703,18 @@ class TestIdleDispatch:
         finally:
             scheduler.shutdown()
         sizes = snapshot["histograms"]["batch_size"]
-        assert sizes["max"] <= 4
-        assert snapshot["counters"]["batches"] == 1 + 3  # the blocker, then 4 + 4 + 2
+        assert sizes["max"] == len(group)
+        assert snapshot["counters"]["batches"] == 1 + 1  # the blocker, then all ten
         references = serial_reference(factory("reference"), group)
         assert max_coefficient_gap(results, references) <= 1e-10
 
 
-    def test_repeats_ride_with_their_leader_past_max_batch(
-        self, factory, workload, hold_shard
-    ):
-        # Dedup runs before the max_batch split: ten requests with four
-        # distinct contents are one batch of four solve rows, not 4 + 4 + 2.
+    def test_repeats_ride_with_their_leader(self, factory, workload, hold_shard):
+        # Ten requests with four distinct contents are one batch of four
+        # solve rows.
         plan = _WidthRecorder()
         scheduler = MicroBatchScheduler(
-            SessionPool(factory), max_batch=4, fault_plan=plan
+            SessionPool(factory), fault_plan=plan
         )
         requests = _with_repeats(_same_key_group(workload[1], 4), 10)
         release = hold_shard(scheduler)
@@ -743,7 +741,7 @@ class TestIdleDispatch:
 
 
 class TestWholeKeyBlocks:
-    """By default a key block is one ``fit_many`` call; ``max_batch`` splits it."""
+    """A key block is one ``fit_many`` call, however many rows it has."""
 
     def _run_block(self, factory, workload, count, **options):
         plan = _WidthRecorder()
@@ -756,17 +754,11 @@ class TestWholeKeyBlocks:
         assert [r.lam for r in results] == [r.lam for r in references]
         return plan.widths, snapshot
 
-    def test_default_solves_a_block_in_one_call(self, factory, workload):
-        assert MicroBatchScheduler(SessionPool(factory)).max_batch is None
+    def test_a_block_is_solved_in_one_call(self, factory, workload):
         widths, snapshot = self._run_block(factory, workload, 200)
         assert widths == [200]
         assert snapshot["counters"]["batches"] == 1
         assert snapshot["counters"]["completed"] == 200
-
-    def test_explicit_max_batch_splits_the_block(self, factory, workload):
-        widths, snapshot = self._run_block(factory, workload, 200, max_batch=64)
-        assert widths == [64, 64, 64, 8]
-        assert snapshot["counters"]["batches"] == 4
 
 
 _CONFIGS = ["default", "alt", 1, 1.0, True, ("grid", 2)]
@@ -889,7 +881,7 @@ class TestKeyBlocks:
         requests = _picked(workload, picks)
         outcomes = []
         for intake in ("submit_many", "submit"):
-            with MicroBatchScheduler(SessionPool(factory), max_batch=8) as scheduler:
+            with MicroBatchScheduler(SessionPool(factory)) as scheduler:
                 if intake == "submit_many":
                     futures = scheduler.submit_many(requests)
                 else:
@@ -915,7 +907,7 @@ class TestKeyBlocks:
     ):
         requests = _picked(workload, picks)
         scheduler = MicroBatchScheduler(
-            SessionPool(factory), max_batch=8, max_queue=max_queue, cache=ResultCache(0)
+            SessionPool(factory), max_queue=max_queue, cache=ResultCache(0)
         )
         overflow = None
         release = hold_shard(scheduler)
