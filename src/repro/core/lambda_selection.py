@@ -249,8 +249,8 @@ def generalized_cross_validation_batch(
     Every column is scored by the same tensor pass
     (:func:`_gcv_score_table`) that :func:`generalized_cross_validation`
     runs on one column: one projection GEMM, one GEMV for the trace terms
-    and one batched matmul for the fitted values of every candidate, off the
-    family's shared eigendecomposition.  The code is the same, but the BLAS
+    and one batched matmul per block of candidates for the fitted values,
+    off the family's shared eigendecomposition.  The code is the same, but the BLAS
     kernels depend on the matrix shape, so a column's scores can differ from
     its one-column scores in the last digits (the tests bound the gap at
     1e-12 relative) and a near-tie on the grid can pick a different lambda.
